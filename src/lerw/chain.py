@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-STEP_CAP = 100_000_000
+STEP_CAP = 10_000_000
 SUM_TOL = 1e-12
 
 

@@ -32,7 +32,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from random import Random
 
-from .chain import MarkovChain, StepCapExceeded, build_chain, chain_from_text, reachability_closure
+from .chain import STEP_CAP, MarkovChain, StepCapExceeded, build_chain, chain_from_text, reachability_closure
 from .exactlaw import (
     GuardError,
     enumerate_erasure_law,
@@ -156,7 +156,7 @@ DEFAULTS = {
         "pipeline": "le",
         "seed": None,
         "workers": 1,
-        "step_cap": 10_000_000,
+        "step_cap": STEP_CAP,
         "out": None,
     },
     "exact-law": {

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import StepCapExceeded, trajectory_stream
+from .chain import STEP_CAP, StepCapExceeded, trajectory_stream
 from .erasure import loop_erase, partial_loop_erase
 from .fractal import (
     FractalGraph,
@@ -26,10 +26,7 @@ from .fractal import (
     to_xy,
     uniform_network,
 )
-from .network import ElectricalNetwork, effective_resistance, hitting_distribution
-
-# re-exported sampling guard default
-STEP_CAP = 10_000_000
+from .network import ElectricalNetwork, effective_resistance, hitting_distribution, laplacian
 
 
 def hausdorff(a, b, metric=None):
@@ -57,20 +54,11 @@ def hausdorff(a, b, metric=None):
 def resistance_metric(net: ElectricalNetwork):
     """Pairwise effective resistance as a pluggable ground metric.
 
-    Dense pseudo-inverse of the Laplacian; intended for small graphs.
+    Dense pseudo-inverse of the network's Laplacian; intended for small
+    graphs.
     """
     idx = {v: i for i, v in enumerate(net.vertices)}
-    n = net.n
-    lap = np.zeros((n, n))
-    for key, c in net.conductances.items():
-        x, y = key
-        i, j = idx[x], idx[y]
-        c = float(c)
-        lap[i, i] += c
-        lap[j, j] += c
-        lap[i, j] -= c
-        lap[j, i] -= c
-    plus = np.linalg.pinv(lap)
+    plus = np.linalg.pinv(laplacian(net).toarray())
 
     def metric(p, q):
         i, j = idx[p], idx[q]

@@ -3,7 +3,9 @@
 Conductances live on unordered vertex pairs; an absent pair means zero.
 Everything downstream (resistance, harmonic extension, tracing) reduces
 to Dirichlet problems for the weighted graph Laplacian, solved exactly
-over Fractions in rational mode and with numpy/scipy in double mode.
+over Fractions in rational mode. Double mode builds one CSR Laplacian per
+network and solves every problem with a sparse LU whose residual is
+checked.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._exact import SingularSystemError, solve_fraction
+from ._exact import RESIDUAL_TOL, SingularSystemError, solve_fraction
 from .chain import MarkovChain, build_chain
-
-# interior size beyond which double-mode solves switch to sparse
-DENSE_LIMIT = 900
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,7 @@ class ElectricalNetwork:
             x, y = key
             adj[x].append((y, c))
             adj[y].append((x, c))
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_adj", {v: tuple(nb) for v, nb in adj.items()})
         object.__setattr__(self, "_weight", {v: sum(c for _, c in nb) for v, nb in adj.items()})
         # connectivity is part of the type: every solve below assumes it
@@ -132,7 +132,7 @@ def walk_from_network(net: ElectricalNetwork, absorbing: Iterable = ()) -> Marko
     if not a <= set(net.vertices):
         raise ValueError("absorbing set leaves the vertex set")
     one = Fraction(1) if net.mode == "rational" else 1.0
-    idx = {v: i for i, v in enumerate(net.vertices)}
+    idx = net._pos
     rows = []
     for x in net.vertices:
         row = [one * 0] * net.n
@@ -146,84 +146,108 @@ def walk_from_network(net: ElectricalNetwork, absorbing: Iterable = ()) -> Marko
     return build_chain(net.vertices, rows, net.mode)
 
 
-def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping) -> dict:
+def _positions(net: ElectricalNetwork, vs: Iterable) -> list:
+    """Positions of vs in the vertex order; ValueError names an unknown one."""
+    try:
+        return [net._pos[v] for v in vs]
+    except KeyError as exc:
+        raise ValueError(f"vertex {exc.args[0]!r} is not in the network") from None
+
+
+def laplacian(net: ElectricalNetwork):
+    """The float graph Laplacian in vertex order, as a CSR matrix.
+
+    Built once per network from the conductances as arrays; every
+    double-mode solve takes its blocks from this one matrix.
+    """
+    lap = getattr(net, "_laplacian", None)
+    if lap is None:
+        from scipy.sparse import csr_matrix
+
+        n, m = net.n, len(net.conductances)
+        ends = np.fromiter(
+            (net._pos[v] for key in net.conductances for v in key), dtype=np.int64, count=2 * m
+        ).reshape(m, 2)
+        c = np.fromiter((float(c) for c in net.conductances.values()), dtype=float, count=m)
+        diag = np.arange(n)
+        rows = np.concatenate([ends[:, 0], ends[:, 1], diag])
+        cols = np.concatenate([ends[:, 1], ends[:, 0], diag])
+        weights = np.fromiter((float(net.weight(v)) for v in net.vertices), dtype=float, count=n)
+        lap = csr_matrix((np.concatenate([-c, -c, weights]), (rows, cols)), shape=(n, n))
+        object.__setattr__(net, "_laplacian", lap)
+    return lap
+
+
+def _solve_block(net: ElectricalNetwork, idx: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve L[idx, idx] u = rhs with one sparse LU for all columns of rhs.
+
+    Raises SingularSystemError when the factorization fails or when the
+    residual, relative to |L| |u| + |rhs| in the max norm, exceeds
+    RESIDUAL_TOL.
+    """
+    from scipy.sparse.linalg import splu
+
+    a = laplacian(net)[idx][:, idx].tocsc()
+    try:
+        u = splu(a).solve(rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from None
+    scale = abs(a).sum(axis=1).max() * abs(u).max() + abs(rhs).max()
+    resid = float(abs(a @ u - rhs).max() / scale) if scale else 0.0
+    if not np.isfinite(resid) or resid > RESIDUAL_TOL:
+        raise SingularSystemError(f"residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    return u
+
+
+_EVERY = object()
+
+
+def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping, at=_EVERY):
     """Potentials with pinned boundary values and injected interior current.
 
-    Solves L u = current on the interior rows. Raises SingularSystemError
-    when some interior part has no path to the boundary.
+    Solves L u = current on the interior rows. Each boundary value is a
+    row with one entry per right-hand side; all columns share one solve
+    and the same current. Returns the row at vertex `at`, or by default a
+    dict of every vertex's row. Unknown vertices raise ValueError.
     """
     if not boundary:
         raise ValueError("boundary must be non-empty")
-    vs = set(net.vertices)
-    for v in boundary:
-        if v not in vs:
-            raise ValueError(f"boundary vertex {v!r} is not in the network")
+    bpos = _positions(net, boundary)
+    _positions(net, current)
+    if at is not _EVERY:
+        _positions(net, (at,))
+        if at in boundary:
+            return boundary[at]
     interior = [v for v in net.vertices if v not in boundary]
-    out = {v: boundary[v] for v in boundary}
     if not interior:
-        return out
-    pos = {v: i for i, v in enumerate(interior)}
-    k = len(interior)
+        return dict(boundary)
+    row = {v: i for i, v in enumerate(interior)}
+    k, m = len(interior), len(next(iter(boundary.values())))
     if net.mode == "rational":
         a = [[Fraction(0)] * k for _ in range(k)]
-        b = [Fraction(current.get(v, 0)) for v in interior]
+        b = [[Fraction(current.get(v, 0))] * m for v in interior]
         for v in interior:
-            i = pos[v]
+            i = row[v]
             a[i][i] = net.weight(v)
             for y, c in net.neighbors(v):
-                j = pos.get(y)
+                j = row.get(y)
                 if j is None:
-                    b[i] += c * Fraction(boundary[y])
+                    b[i] = [bi + c * Fraction(g) for bi, g in zip(b[i], boundary[y])]
                 else:
                     a[i][j] -= c
-        try:
-            u = solve_fraction(a, [[v] for v in b])
-        except SingularSystemError:
-            raise SingularSystemError(
-                "interior component without boundary contact"
-            ) from None
-        out.update((v, row[0]) for v, row in zip(interior, u))
-        return out
-    b = np.array([float(current.get(v, 0.0)) for v in interior])
-    if k <= DENSE_LIMIT:
-        a = np.zeros((k, k))
-        for v in interior:
-            i = pos[v]
-            a[i, i] = net.weight(v)
-            for y, c in net.neighbors(v):
-                j = pos.get(y)
-                if j is None:
-                    b[i] += c * float(boundary[y])
-                else:
-                    a[i, j] -= c
-        from ._exact import solve_double
-
-        u = solve_double(a, b)
+        u = solve_fraction(a, b)
     else:
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        data, ri, ci = [], [], []
-        for v in interior:
-            i = pos[v]
-            data.append(net.weight(v))
-            ri.append(i)
-            ci.append(i)
-            for y, c in net.neighbors(v):
-                j = pos.get(y)
-                if j is None:
-                    b[i] += c * float(boundary[y])
-                else:
-                    data.append(-c)
-                    ri.append(i)
-                    ci.append(j)
-        lap = csc_matrix((data, (ri, ci)), shape=(k, k))
-        try:
-            u = splu(lap).solve(b)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from None
-        if not np.all(np.isfinite(u)):
-            raise SingularSystemError("singular interior Laplacian")
+        ipos = [net._pos[v] for v in interior]
+        rhs = np.zeros((k, m))
+        for v, c in current.items():
+            if v in row:
+                rhs[row[v]] += float(c)
+        g = np.array([boundary[v] for v in boundary], dtype=float)
+        rhs -= laplacian(net)[ipos][:, bpos] @ g
+        u = _solve_block(net, ipos, rhs)
+    if at is not _EVERY:
+        return u[row[at]]
+    out = dict(boundary)
     out.update(zip(interior, u))
     return out
 
@@ -234,7 +258,8 @@ def harmonic_extension(net: ElectricalNetwork, boundary_values: Mapping) -> dict
     With indicator boundary data the interior values are hitting
     probabilities of the 1-set before the 0-set.
     """
-    return _dirichlet_solve(net, boundary_values, {})
+    u = _dirichlet_solve(net, {v: (g,) for v, g in boundary_values.items()}, {})
+    return {v: r[0] for v, r in u.items()}
 
 
 def effective_resistance_to_set(net: ElectricalNetwork, x, targets: Iterable):
@@ -244,8 +269,7 @@ def effective_resistance_to_set(net: ElectricalNetwork, x, targets: Iterable):
     if x in a:
         raise ValueError("source lies in the target set")
     zero = Fraction(0) if net.mode == "rational" else 0.0
-    u = _dirichlet_solve(net, {t: zero for t in a}, {x: zero + 1})
-    return u[x]
+    return _dirichlet_solve(net, {t: (zero,) for t in a}, {x: zero + 1}, at=x)[0]
 
 
 def effective_resistance(net: ElectricalNetwork, x, y):
@@ -262,59 +286,23 @@ def expected_exit_time(net: ElectricalNetwork, x, targets: Iterable):
         raise ValueError("target set must be non-empty")
     zero = Fraction(0) if net.mode == "rational" else 0.0
     current = {v: net.weight(v) for v in net.vertices if v not in a}
-    u = _dirichlet_solve(net, {t: zero for t in a}, current)
-    return u[x]
+    return _dirichlet_solve(net, {t: (zero,) for t in a}, current, at=x)[0]
 
 
 def hitting_distribution(net: ElectricalNetwork, x, targets: Iterable) -> dict:
     """Harmonic measure from x: which target the walk meets first.
 
-    One Dirichlet factorization answers all targets at once, so this
-    stays cheap on large sparse graphs.
+    One Dirichlet solve with a column per target answers all targets at
+    once, so this stays cheap on large sparse graphs.
     """
     tset = frozenset(targets)
     if not tset:
         raise ValueError("target set must be non-empty")
-    if x in tset:
-        return {t: (Fraction(1) if net.mode == "rational" else 1.0) * (t == x) for t in tset}
-    interior = [v for v in net.vertices if v not in tset]
-    pos = {v: i for i, v in enumerate(interior)}
-    k = len(interior)
-    tlist = sorted(tset, key=net.vertices.index)
-    if net.mode == "rational":
-        out = {}
-        zero = Fraction(0)
-        for t in tlist:
-            bnd = {s: Fraction(1) if s == t else zero for s in tlist}
-            out[t] = _dirichlet_solve(net, bnd, {})[x]
-        return out
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
-    data, ri, ci = [], [], []
-    rhs = np.zeros((k, len(tlist)))
-    tpos = {t: j for j, t in enumerate(tlist)}
-    for v in interior:
-        i = pos[v]
-        data.append(net.weight(v))
-        ri.append(i)
-        ci.append(i)
-        for y, c in net.neighbors(v):
-            j = pos.get(y)
-            if j is None:
-                rhs[i, tpos[y]] += c
-            else:
-                data.append(-c)
-                ri.append(i)
-                ci.append(j)
-    lap = csc_matrix((data, (ri, ci)), shape=(k, k))
-    try:
-        u = splu(lap).solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from None
-    if not np.all(np.isfinite(u)):
-        raise SingularSystemError("singular interior Laplacian")
-    return {t: float(u[pos[x], tpos[t]]) for t in tlist}
+    tlist = [t for _, t in sorted(zip(_positions(net, tset), tset))]
+    one = Fraction(1) if net.mode == "rational" else 1.0
+    bnd = {t: [one * (s == t) for s in tlist] for t in tlist}
+    probs = _dirichlet_solve(net, bnd, {}, at=x)
+    return dict(zip(tlist, probs if net.mode == "rational" else map(float, probs)))
 
 
 def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
@@ -323,8 +311,8 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     induced walk is the original walk watched on its visits to the subset.
 
     Rational mode eliminates complement vertices one at a time (star-mesh,
-    exact); double mode takes the Schur complement of the Laplacian in one
-    block step, sparse when the eliminated block is large.
+    exact); double mode takes the Schur complement L_KK - L_KO L_OO^-1 L_OK
+    of the Laplacian in one block step, with one sparse solve.
     """
     kset = frozenset(keep)
     if not kset <= set(net.vertices):
@@ -342,7 +330,7 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
             x, y = key
             adj[x][y] = adj[x].get(y, Fraction(0)) + c
             adj[y][x] = adj[y].get(x, Fraction(0)) + c
-        order = {v: i for i, v in enumerate(net.vertices)}
+        order = net._pos
         remaining = set(drop)
         while remaining:
             # smallest star first keeps the fill-in down
@@ -365,53 +353,12 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
                 cond[frozenset((x, y))] = c
         traced = ElectricalNetwork(tuple(kept), cond, "rational")
     else:
-        idx = {v: i for i, v in enumerate(kept)}
-        opos = {v: i for i, v in enumerate(drop)}
-        nk, no = len(kept), len(drop)
-        if no <= DENSE_LIMIT:
-            lkk = np.zeros((nk, nk))
-            lko = np.zeros((nk, no))
-            loo = np.zeros((no, no))
-            for key, c in net.conductances.items():
-                x, y = key
-                for u, w in ((x, y), (y, x)):
-                    if u in idx:
-                        lkk[idx[u], idx[u]] += c
-                        if w in idx:
-                            lkk[idx[u], idx[w]] -= c
-                        else:
-                            lko[idx[u], opos[w]] -= c
-                    else:
-                        loo[opos[u], opos[u]] += c
-                        if w in opos:
-                            loo[opos[u], opos[w]] -= c
-            schur = lkk - lko @ np.linalg.solve(loo, lko.T)
-        else:
-            from scipy.sparse import csc_matrix
-            from scipy.sparse.linalg import splu
-
-            lkk = np.zeros((nk, nk))
-            lko = np.zeros((nk, no))
-            data, ri, ci = [], [], []
-            for key, c in net.conductances.items():
-                x, y = key
-                for u, w in ((x, y), (y, x)):
-                    if u in idx:
-                        lkk[idx[u], idx[u]] += c
-                        if w in idx:
-                            lkk[idx[u], idx[w]] -= c
-                        else:
-                            lko[idx[u], opos[w]] -= c
-                    else:
-                        data.append(c)
-                        ri.append(opos[u])
-                        ci.append(opos[u])
-                        if w in opos:
-                            data.append(-c)
-                            ri.append(opos[u])
-                            ci.append(opos[w])
-            loo = csc_matrix((data, (ri, ci)), shape=(no, no))
-            schur = lkk - lko @ splu(loo).solve(lko.T)
+        lap = laplacian(net)
+        ki, oi = _positions(net, kept), _positions(net, drop)
+        schur = lap[ki][:, ki].toarray() - lap[ki][:, oi] @ _solve_block(
+            net, oi, lap[oi][:, ki].toarray()
+        )
+        nk = len(kept)
         cond = {}
         scale = max(abs(schur).max(), 1.0)
         for i in range(nk):
@@ -448,9 +395,9 @@ def check_hitting_bound(net: ElectricalNetwork, x, y, targets: Iterable) -> Hitt
     if x == y:
         prob = one
     else:
-        bnd = {t: zero for t in a}
-        bnd[y] = one
-        prob = harmonic_extension(net, bnd)[x]
+        bnd = {t: (zero,) for t in a}
+        bnd[y] = (one,)
+        prob = _dirichlet_solve(net, bnd, {}, at=x)[0]
     r_xy = zero if x == y else effective_resistance(net, x, y)
     r_xa = effective_resistance_to_set(net, x, a)
     if r_xa <= r_xy:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from random import Random
 
+import math
+
 import pytest
 
 from lerw._exact import SingularSystemError
@@ -35,7 +37,8 @@ def unit_path(names):
 
 
 def long_path(n):
-    """Big enough to push double-mode solves onto the sparse branch."""
+    """n unit edges in a row, in double mode: a large, sparse, badly
+    conditioned network (resistances grow like n, exit times like n^2)."""
     return build_network(
         [(f"p{i}", f"p{i+1}", 1.0) for i in range(n)], mode="double"
     )
@@ -308,3 +311,118 @@ class TestHittingBound:
     def test_validation(self):
         with pytest.raises(ValueError, match="target set"):
             check_hitting_bound(unit_path("abc"), "a", "c", {"c"})
+
+
+def as_double(net):
+    return ElectricalNetwork(
+        net.vertices, {k: float(c) for k, c in net.conductances.items()}, "double"
+    )
+
+
+def assert_close(got, want):
+    """1e-12 relative; an exact zero must come out zero to 1e-15."""
+    assert math.isclose(got, float(want), rel_tol=1e-12, abs_tol=1e-15), (got, want)
+
+
+class TestDoubleMatchesRational:
+    def test_random_networks(self):
+        rng = Random(61)
+        for _ in range(60):
+            net = random_network(rng, rng.randint(4, 8), extra_edges=rng.randint(0, 4))
+            dnet = as_double(net)
+            x, y = rng.sample(net.vertices, 2)
+            assert_close(effective_resistance(dnet, x, y), effective_resistance(net, x, y))
+            a = frozenset(rng.sample(net.vertices, rng.randint(1, net.n - 1)))
+            x = rng.choice([v for v in net.vertices if v not in a])
+            assert_close(expected_exit_time(dnet, x, a), expected_exit_time(net, x, a))
+            exact = hitting_distribution(net, x, a)
+            approx = hitting_distribution(dnet, x, a)
+            assert list(approx) == list(exact) == [v for v in net.vertices if v in a]
+            for t in a:
+                assert_close(approx[t], exact[t])
+            bnd = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in a}
+            exact = harmonic_extension(net, bnd)
+            approx = harmonic_extension(dnet, {v: float(g) for v, g in bnd.items()})
+            for v in net.vertices:
+                assert_close(approx[v], exact[v])
+
+    def test_long_path(self):
+        # Rational mode's dense elimination is cubic in the vertex count,
+        # so the exact values on 1100 edges come from the exact star-mesh
+        # trace onto the probed vertices, which keeps resistances and
+        # hitting laws, and for exit times from gambler's ruin.
+        n = 1100
+        dnet = long_path(n)
+        probes = ["p0", "p1", "p377", "p550", "p1099", f"p{n}"]
+        small = trace_network(build_network([(f"p{i}", f"p{i+1}", 1) for i in range(n)]), probes)
+        for x, y in (("p0", f"p{n}"), ("p1", "p1099"), ("p377", "p550")):
+            assert_close(effective_resistance(dnet, x, y), effective_resistance(small, x, y))
+        bnd = {"p0": Fraction(-2), "p550": Fraction(7, 3), f"p{n}": Fraction(1)}
+        exact = harmonic_extension(small, bnd)
+        approx = harmonic_extension(dnet, {v: float(g) for v, g in bnd.items()})
+        for v in probes:
+            assert_close(approx[v], exact[v])
+        a = {"p0", "p550", f"p{n}"}
+        exact = hitting_distribution(small, "p377", a)
+        approx = hitting_distribution(dnet, "p377", a)
+        for t in a:
+            assert_close(approx[t], exact[t])
+        # from p_i: i (n - i) steps to leave through both ends, and
+        # n^2 - i^2 to reach p_n when p_0 reflects
+        assert_close(expected_exit_time(dnet, "p377", {"p0", f"p{n}"}), 377 * (n - 377))
+        assert_close(expected_exit_time(dnet, "p377", {f"p{n}"}), n * n - 377 * 377)
+
+
+class TestUnknownVertices:
+    @pytest.mark.parametrize("mode", ["rational", "double"])
+    def test_value_error_names_the_vertex(self, mode):
+        net = build_network([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)], mode)
+        calls = [
+            lambda: effective_resistance(net, "zz", "a"),
+            lambda: effective_resistance(net, "a", "zz"),
+            lambda: effective_resistance_to_set(net, "zz", {"a"}),
+            lambda: effective_resistance_to_set(net, "a", {"b", "zz"}),
+            lambda: expected_exit_time(net, "zz", {"a"}),
+            lambda: expected_exit_time(net, "a", {"b", "zz"}),
+            lambda: hitting_distribution(net, "zz", {"a", "b"}),
+            lambda: hitting_distribution(net, "a", {"b", "zz"}),
+            lambda: hitting_distribution(net, "a", {"a", "zz"}),
+            lambda: check_hitting_bound(net, "zz", "a", {"c"}),
+            lambda: check_hitting_bound(net, "a", "zz", {"c"}),
+            lambda: check_hitting_bound(net, "a", "b", {"zz"}),
+            lambda: check_hitting_bound(net, "zz", "zz", {"c"}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="vertex 'zz' is not in the network"):
+                call()
+
+
+class TestResidualCheck:
+    def test_every_double_solve_checks_its_residual(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        real = scipy.sparse.linalg.splu
+
+        class Skewed:
+            """An LU whose solutions are off by one part in a million."""
+
+            def __init__(self, a):
+                self.lu = real(a)
+
+            def solve(self, b):
+                return self.lu.solve(b) * (1 + 1e-6)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", Skewed)
+        net = long_path(50)
+        calls = [
+            lambda: effective_resistance(net, "p0", "p50"),
+            lambda: effective_resistance_to_set(net, "p10", {"p0", "p50"}),
+            lambda: harmonic_extension(net, {"p0": 0.0, "p50": 1.0}),
+            lambda: expected_exit_time(net, "p10", {"p50"}),
+            lambda: hitting_distribution(net, "p10", {"p0", "p50"}),
+            lambda: check_hitting_bound(net, "p10", "p20", {"p0", "p50"}),
+            lambda: trace_network(net, {"p0", "p50"}),
+        ]
+        for call in calls:
+            with pytest.raises(SingularSystemError, match="residual"):
+                call()
