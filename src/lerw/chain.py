@@ -5,14 +5,18 @@ Mode "rational" keeps every entry a Fraction and all downstream algebra
 exact; mode "double" keeps floats.  Paths are plain tuples of states.
 
 Sampling uses counter-based Philox streams keyed by (master_seed,
-trajectory_index), so trajectory i is the same bit-for-bit no matter how
-many workers run or in which order trajectories are drawn.
+trajectory_index), so trajectory i is the same bit-for-bit in whatever
+order trajectories are drawn.  One walk loop, `_walk`, draws every
+trajectory in the package: chain walks here and fractal graph walks in
+`limits`.  Trajectories run one after another in the calling thread.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,6 +109,20 @@ def build_chain(states: Sequence, rows: Sequence[Sequence], mode: str = "rationa
     return MarkovChain(states, kernel, mode)
 
 
+def dense_chain(rng: Random, n: int, den: int = 60) -> MarkovChain:
+    """Random rational chain on states s0..s{n-1}, every entry at least 1/den.
+
+    Every absorbing subset is reachable from every start, and exact
+    enumerations have a geometric tail.
+    """
+    rows = []
+    for _ in range(n):
+        cuts = sorted(rng.sample(range(1, den), n - 1))
+        pts = [0, *cuts, den]
+        rows.append([Fraction(b - a, den) for a, b in zip(pts, pts[1:])])
+    return build_chain([f"s{i}" for i in range(n)], rows, "rational")
+
+
 def chain_to_text(chain: MarkovChain) -> str:
     """Serialize: one line of state names, then one kernel row per line.
 
@@ -186,28 +204,57 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([master_seed, index], dtype=np.uint64)))
 
 
-def _row_tables(chain: MarkovChain):
+def _cum_row(weights) -> list:
+    """Cumulative step weights of one row, the last pinned to 1.0 against rounding."""
+    cums = np.cumsum(weights)
+    cums[-1:] = 1.0  # an empty row (an isolated graph vertex) stays empty
+    return cums.tolist()
+
+
+def _row_tables(chain: MarkovChain) -> tuple:
+    """(nbrs, cums): per-row support indices and their cumulative weights."""
     tables = getattr(chain, "_row_tables", None)
     if tables is None:
-        tables = []
-        for row in chain.kernel:
-            targets = np.array([j for j, p in enumerate(row) if p > 0], dtype=np.int64)
-            probs = np.array([float(row[j]) for j in targets], dtype=float)
-            cums = np.cumsum(probs)
-            cums[-1] = 1.0  # guard the last bin against rounding
-            tables.append((targets, cums))
+        nbrs = [[j for j, p in enumerate(row) if p > 0] for row in chain.kernel]
+        cums = [_cum_row([float(row[j]) for j in js]) for row, js in zip(chain.kernel, nbrs)]
+        tables = (nbrs, cums)
         object.__setattr__(chain, "_row_tables", tables)
     return tables
 
 
-def _closure_cached(chain: MarkovChain, targets: frozenset) -> frozenset:
-    cache = getattr(chain, "_closure_cache", None)
+def _entry_tables(chain: MarkovChain, targets: frozenset) -> tuple:
+    """(closure, per-index target flags) for `targets`, cached on the chain."""
+    cache = getattr(chain, "_entry_cache", None)
     if cache is None:
         cache = {}
-        object.__setattr__(chain, "_closure_cache", cache)
+        object.__setattr__(chain, "_entry_cache", cache)
     if targets not in cache:
-        cache[targets] = reachability_closure(chain, targets)
+        cache[targets] = (reachability_closure(chain, targets), [s in targets for s in chain.states])
     return cache[targets]
+
+
+def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap: int) -> list:
+    """Indices of one walk from `start` until it enters a flagged index.
+
+    Row v steps to nbrs[v][bisect_right(cums[v], u)] for a uniform u.  The
+    path keeps both endpoints; step_cap steps without entry raise
+    StepCapExceeded.  Every sampler in the package runs this loop.
+    """
+    v = start
+    path = [v]
+    if is_target[v]:
+        return path
+    left = step_cap
+    while left > 0:
+        # uniforms come in blocks of 1024; the block size only affects speed
+        us = rng.random(1024).tolist()[:left]
+        left -= len(us)
+        for u in us:
+            v = nbrs[v][bisect_right(cums[v], u)]
+            path.append(v)
+            if is_target[v]:
+                return path
+    raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
 
 
 def sample_until_entry(
@@ -224,29 +271,9 @@ def sample_until_entry(
     StepCapExceeded if the walk outlives step_cap (a safety net, not a
     truncation: no partial path is returned).
     """
-    targets = frozenset(targets)
-    closure = _closure_cached(chain, targets)
+    closure, is_target = _entry_tables(chain, frozenset(targets))
     if start not in closure:
         raise ValueError(f"entry into targets is not almost sure from {start!r}")
-    tables = _row_tables(chain)
+    nbrs, cums = _row_tables(chain)
     states = chain.states
-    idx = chain.index(start)
-    path = [states[idx]]
-    if states[idx] in targets:
-        return tuple(path)
-    # draw uniforms in blocks; the block size only affects speed
-    block = 1024
-    buf = rng.random(block)
-    ptr = 0
-    for _ in range(step_cap):
-        cand, cums = tables[idx]
-        if ptr == block:
-            buf = rng.random(block)
-            ptr = 0
-        u = buf[ptr]
-        ptr += 1
-        idx = int(cand[np.searchsorted(cums, u, side="right")])
-        path.append(states[idx])
-        if states[idx] in targets:
-            return tuple(path)
-    raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
+    return tuple([states[i] for i in _walk(nbrs, cums, chain.index(start), is_target, rng, step_cap)])

@@ -32,7 +32,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from random import Random
 
-from .chain import STEP_CAP, MarkovChain, StepCapExceeded, build_chain, chain_from_text, reachability_closure
+from .chain import STEP_CAP, MarkovChain, StepCapExceeded, build_chain, chain_from_text, dense_chain, reachability_closure
 from .exactlaw import (
     GuardError,
     enumerate_erasure_law,
@@ -239,7 +239,7 @@ def _num(v) -> str:
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy float64 would repr as np.float64(...)
     return str(v)
 
 
@@ -583,7 +583,6 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
     pairs = _parse_level_pairs(cfg.get("pairs"))
     seed = _resolve_seed(cfg, announce=True)
     n = int(cfg["n"])
-    workers = int(cfg["workers"])
     rows = []
     medians = []
     for stage, level in pairs:
@@ -591,7 +590,7 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
         x = _corner_vertex(cfg.get("start") or "q1", graph)
         targets = _target_vertices(cfg.get("to") or "q2", graph)
         stats = coupled_refinement_distance(
-            WalkConfig(graph, seed, workers=workers), stage, x, targets, n
+            WalkConfig(graph, seed), stage, x, targets, n
         )
         rows.append(
             [stage, level, n, repr(stats["median"]), repr(stats["q90"]),
@@ -635,9 +634,7 @@ def _cmd_simulate(cfg: dict) -> int:
     targets = _target_vertices(cfg.get("to"), graph)
     pipeline = _parse_pipeline_levels(cfg.get("pipeline"), graph)
     n = int(cfg["n"])
-    config = WalkConfig(
-        graph, seed, workers=int(cfg["workers"]), step_cap=int(cfg["step_cap"])
-    )
+    config = WalkConfig(graph, seed, step_cap=int(cfg["step_cap"]))
     law = lerw_set_law(config, x, targets, n, pipeline)
     (out / "simulate_law.txt").write_text(set_law_to_text(law))
     top = max(law.atoms.values())
@@ -709,17 +706,11 @@ def _cmd_exact_law(cfg: dict) -> int:
     )
 
 
-def _dense_chain(rng: Random, n: int, den: int = 60) -> MarkovChain:
-    rows = []
-    for _ in range(n):
-        cuts = sorted(rng.sample(range(1, den), n - 1))
-        pts = [0, *cuts, den]
-        rows.append([Fraction(b - a, den) for a, b in zip(pts, pts[1:])])
-    return build_chain([f"s{i}" for i in range(n)], rows, "rational")
-
-
 def _nested_pipelines(states: tuple) -> list:
     """All 2-level and 3-level nested stage sequences ending in the full set."""
+    # Unlike the acceptance test's copy, the first stage may be empty; the
+    # fuzzed cases follow this list, so sharing one copy would change both
+    # the verify-theorem1 outputs and the test's case count.
     full = frozenset(states)
     out = []
     for mask in product((0, 1), repeat=len(states)):
@@ -763,7 +754,7 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
         states_max = int(cfg["states_max"])
         if states_max > 5:
             raise UsageError("fuzz chains are capped at 5 states")
-        chains = [_dense_chain(rng, rng.randint(3, states_max)) for _ in range(int(cfg["chains"]))]
+        chains = [dense_chain(rng, rng.randint(3, states_max)) for _ in range(int(cfg["chains"]))]
     else:
         chains = [bundled_chain()]
 
@@ -841,7 +832,7 @@ def _cmd_verify_green(cfg: dict) -> int:
 
     identity_ok = True
     for i in range(int(cfg["identities"])):
-        chain = _dense_chain(rng, rng.randint(3, 5))
+        chain = dense_chain(rng, rng.randint(3, 5))
         states = list(chain.states)
         b = frozenset(rng.sample(states, rng.randint(2, len(states) - 1)))
         x, y = rng.sample(sorted(b), 2)
@@ -865,7 +856,7 @@ def _cmd_verify_green(cfg: dict) -> int:
     permutation_ok = True
     if identity_ok:
         for i in range(int(cfg["permutations"])):
-            chain = _dense_chain(rng, rng.randint(4, 5))
+            chain = dense_chain(rng, rng.randint(4, 5))
             states = list(chain.states)
             b = frozenset(rng.sample(states, rng.randint(3, len(states) - 1)))
             pts = rng.sample(sorted(b), 3)
@@ -907,7 +898,8 @@ def _add_common(p: argparse.ArgumentParser, *flags: str):
     if "seed" in flags:
         p.add_argument("--seed", type=int, help="64-bit master seed")
     if "workers" in flags:
-        p.add_argument("--workers", type=int, help="sampling worker count")
+        p.add_argument("--workers", type=int,
+                       help="accepted for compatibility and ignored: sampling runs serially")
     if "mode" in flags:
         p.add_argument("--mode", choices=["rational", "double"], help="numeric mode")
     if "graph" in flags:

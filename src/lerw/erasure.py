@@ -105,8 +105,9 @@ def erase_step(prefix: tuple, indices: tuple, t: int, y, retained: frozenset | N
     prefix/indices are the erasure of the input consumed so far, y is the
     next state with input position t.  retained None means full loop
     erasure.  Returns the new (prefix, indices) pair.  Folding this step
-    over a path reproduces loop_erase / partial_loop_erase; the samplers
-    and the exact enumerator rely on that.
+    over a path reproduces loop_erase / partial_loop_erase, which the
+    tests check; the exact enumerator folds its own step,
+    `exactlaw._ple_step`, and the samplers call the erasures directly.
     """
     erasable = retained is None or y in retained
     if erasable:

@@ -1,21 +1,21 @@
 """Set metrics, empirical path-image laws, and scaling experiments.
 
 Sampling is reproducible by construction: trajectory i always uses the
-counter-based stream keyed (master_seed, i), so results are identical at
-any worker count and aggregation is order-independent.
+counter-based stream keyed (master_seed, i), so aggregation is
+order-independent.  Graph walks run through `chain._walk`, the loop that
+also draws chain trajectories, one trajectory after another.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .chain import STEP_CAP, StepCapExceeded, trajectory_stream
+from .chain import STEP_CAP, _cum_row, _walk, trajectory_stream
 from .erasure import loop_erase, partial_loop_erase
 from .fractal import (
     FractalGraph,
@@ -173,48 +173,44 @@ def prokhorov(a: EmpiricalSetLaw, b: EmpiricalSetLaw, tol: float = 1e-6) -> floa
 
 @dataclass(frozen=True)
 class WalkConfig:
+    """Graph, master seed and step cap of a sampling run.
+
+    `workers` is accepted so existing callers keep working, but nothing
+    reads it: trajectories run serially in the calling thread.
+    """
+
     graph: FractalGraph
     master_seed: int
     workers: int = 1
     step_cap: int = STEP_CAP
 
 
-def _walk_until(indptr, nbr, start: int, tmask, rng, step_cap: int) -> list:
-    path = [start]
-    if tmask[start]:
-        return path
-    v = start
-    block = rng.random(1024)
-    used = 0
-    n = 0
-    while True:
-        if used == 1024:
-            block = rng.random(1024)
-            used = 0
-        lo = indptr[v]
-        deg = indptr[v + 1] - lo
-        v = int(nbr[lo + int(block[used] * deg)])
-        used += 1
-        path.append(v)
-        if tmask[v]:
-            return path
-        n += 1
-        if n >= step_cap:
-            raise StepCapExceeded(f"no entry within {step_cap} steps")
+def _graph_walker(config: WalkConfig, x: int, targets: Iterable):
+    """(walk, is_target): walk(i) is trajectory i's vertex indices from x into targets.
 
+    Each vertex steps to one of its sorted neighbours with weight 1/deg,
+    as the walk chain of the graph's uniform network does.  There is no
+    reachability check: an unreachable target set ends in StepCapExceeded.
+    """
+    g = config.graph
+    tset = frozenset(targets)
+    if not tset or x in tset:
+        raise ValueError("need a non-empty target set not containing the start")
+    indptr, nbr = adjacency_arrays(g)
+    flat, bounds = nbr.tolist(), indptr.tolist()
+    nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    # rows of equal degree share one cumulative list
+    shared = {d: _cum_row(np.full(d, 1.0) / d) for d in {len(r) for r in nbrs}}
+    cums = [shared[len(r)] for r in nbrs]
+    is_target = [False] * g.n
+    for t in tset:
+        is_target[t] = True
 
-def _indexed_map(workers: int, total: int, fn):
-    """fn(i) for i in range(total), deterministically, optionally threaded."""
-    if workers <= 1 or total < 2:
-        return [fn(i) for i in range(total)]
-    bounds = np.linspace(0, total, workers + 1).astype(int)
+    def walk(i: int) -> list:
+        rng = trajectory_stream(config.master_seed, i)
+        return _walk(nbrs, cums, x, is_target, rng, config.step_cap)
 
-    def chunk(w):
-        return [fn(i) for i in range(bounds[w], bounds[w + 1])]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk, range(workers)))
-    return [r for part in parts for r in part]
+    return walk, is_target
 
 
 def _apply_pipeline(path: tuple, pipeline):
@@ -237,29 +233,19 @@ def lerw_set_law(
     path from x into exactly one target before it is recorded.
     """
     g = config.graph
-    tset = frozenset(targets)
-    if not tset or x in tset:
-        raise ValueError("need a non-empty target set not containing the start")
-    indptr, nbr = adjacency_arrays(g)
-    tmask = np.zeros(g.n, dtype=bool)
-    tmask[list(tset)] = True
+    walk, is_target = _graph_walker(config, x, targets)
     plain = isinstance(pipeline, str)
     verts = g.vertices
-
-    def one(i: int) -> tuple:
-        rng = trajectory_stream(config.master_seed, i)
-        w = _walk_until(indptr, nbr, x, tmask, rng, config.step_cap)
-        out = _apply_pipeline(tuple(w), pipeline)
+    atoms: Counter = Counter()
+    for i in range(num_samples):
+        out = _apply_pipeline(tuple(walk(i)), pipeline)
         if plain:
             if len(set(out)) != len(out):
                 raise AssertionError(f"erased output not simple on sample {i}")
-            if out[0] != x or not tmask[out[-1]] or any(tmask[v] for v in out[:-1]):
+            if out[0] != x or not is_target[out[-1]] or any(is_target[v] for v in out[:-1]):
                 raise AssertionError(f"bad endpoints on sample {i}")
-        return tuple(sorted(verts[v] for v in set(out)))
-
-    keys = _indexed_map(config.workers, num_samples, one)
-    atoms = dict(Counter(keys))
-    return EmpiricalSetLaw(g.kind, g.grid, atoms, num_samples)
+        atoms[tuple(sorted(verts[v] for v in set(out)))] += 1
+    return EmpiricalSetLaw(g.kind, g.grid, dict(atoms), num_samples)
 
 
 def coupled_refinement_distance(
@@ -276,25 +262,16 @@ def coupled_refinement_distance(
     if not 0 <= m <= g.level:
         raise ValueError("stage level out of range")
     retained = g.nested[m]
-    tset = frozenset(targets)
-    if not tset or x in tset:
-        raise ValueError("need a non-empty target set not containing the start")
-    indptr, nbr = adjacency_arrays(g)
-    tmask = np.zeros(g.n, dtype=bool)
-    tmask[list(tset)] = True
+    walk, _ = _graph_walker(config, x, targets)
     xy = to_xy(g)
-
-    def one(i: int) -> float:
-        rng = trajectory_stream(config.master_seed, i)
-        w = _walk_until(indptr, nbr, x, tmask, rng, config.step_cap)
-        stage = partial_loop_erase(tuple(w), retained).path
+    dists = np.empty(num_samples)
+    for i in range(num_samples):
+        stage = partial_loop_erase(tuple(walk(i)), retained).path
         final = loop_erase(stage).path
         pa = xy[sorted(set(stage))]
         pb = xy[sorted(set(final))]
         d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
-        return float(max(d2.min(1).max(), d2.min(0).max())) ** 0.5
-
-    dists = np.array(_indexed_map(config.workers, num_samples, one))
+        dists[i] = float(max(d2.min(1).max(), d2.min(0).max())) ** 0.5
     qs = np.quantile(dists, [0.5, 0.9])
     return {
         "n": num_samples,

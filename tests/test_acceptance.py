@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from lerw.chain import build_chain, sample_until_entry, trajectory_stream
+from lerw.chain import dense_chain, sample_until_entry, trajectory_stream
 from lerw.cli import main
 from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.exactlaw import (
@@ -51,23 +51,12 @@ def _report(num: int, ok: bool, detail: str):
     print(f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def dense_chain(rng: Random, n: int, den: int):
-    """Random rational chain with every entry at least 1/den.
-
-    Dense rows keep every absorbing subset reachable from every start and
-    give the exact enumerations a geometric tail, so a 1e-9 tolerance is
-    reached within a few hundred steps.
-    """
-    rows = []
-    for _ in range(n):
-        cuts = sorted(rng.sample(range(1, den), n - 1))
-        pts = [0, *cuts, den]
-        rows.append([Fraction(b - a, den) for a, b in zip(pts, pts[1:])])
-    return build_chain([f"s{i}" for i in range(n)], rows, "rational")
-
-
 def nested_pipelines(states):
-    """Every nested 2- and 3-level retained sequence ending in the full set."""
+    """Every nested 2- and 3-level retained sequence ending in the full set.
+
+    The first stage is never empty, unlike in the CLI's
+    `_nested_pipelines`; criterion 1's case count rests on this list.
+    """
     full = frozenset(states)
     out = []
     for zones in product((0, 1), repeat=len(states)):
@@ -437,6 +426,8 @@ def test_criterion_10_erased_outputs_are_simple():
 
 
 def test_criterion_11_worker_count_invariance(tmp_path):
+    """`--workers` is accepted and ignored (sampling runs serially), so the
+    outputs must not depend on it; this pins that the flag stays harmless."""
     runs = {
         "simulate": [
             "simulate", "--gasket", "-m", "2", "--from", "q1", "--to", "q2,q3",

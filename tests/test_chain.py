@@ -1,5 +1,6 @@
 """Chain construction, serialization, reachability, and sampling."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +10,7 @@ import pytest
 from lerw.chain import (
     MarkovChain,
     StepCapExceeded,
+    _cum_row,
     build_chain,
     chain_from_text,
     chain_to_text,
@@ -169,3 +171,22 @@ class TestSampling:
         ch = escape_chain().as_double()
         path = sample_until_entry(ch, "a", {"c"}, trajectory_stream(5, 0))
         assert path[-1] == "c"
+
+
+class TestStepRule:
+    def test_uniform_rows_pick_floor_u_times_degree(self):
+        # Graph walks step with bisect_right over cumsum(1/d).  For the
+        # degrees 1..4 of the gasket and carpet graphs that is floor(u*d)
+        # at every float within 4096 ulps of a bin edge j/d, the only
+        # places where rounding of the cumulative sums could split them.
+        offsets = np.arange(-4096, 4097, dtype=np.int64)
+        checked = 0
+        for d in range(1, 5):
+            cums = _cum_row(np.full(d, 1.0) / d)
+            for j in range(d + 1):
+                near = (np.array(j / d).view(np.int64) + offsets).view(np.float64)
+                us = near[(near >= 0.0) & (near < 1.0)].tolist()
+                bad = [u for u in us if bisect_right(cums, u) != int(u * d)]
+                assert not bad, (d, j, bad[:3])
+                checked += len(us)
+        assert checked == 81_930

@@ -1,5 +1,6 @@
 """Subcommand behavior: exits, outputs, determinism, config plumbing."""
 
+import csv
 import json
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from lerw.cli import main
 from lerw.exactlaw import law_from_text
 from lerw.fractal import standard_carpet, template_to_text
-from lerw.limits import set_law_from_text
+from lerw.limits import resistance_scaling, set_law_from_text
 
 
 def read_json(path):
@@ -71,6 +72,24 @@ class TestResist:
         )
         assert code == 0
         assert read_json(tmp_path / "resist.json")["checks"] == {}
+
+    def test_double_cells_read_back_as_floats(self, tmp_path):
+        # double-mode solves return numpy scalars; their cells must still
+        # be plain numbers equal to the library values
+        assert main(
+            ["resist", "--carpet", "standard", "-m", "1..2", "--out", str(tmp_path)]
+        ) == 0
+        res = resistance_scaling("carpet", [1, 2], template=standard_carpet())
+        want = {(r["level"], "%d-%d" % r["pair"]): r["resistance"] for r in res["rows"]}
+        rows = list(csv.reader((tmp_path / "resist.csv").read_text().splitlines()[2:]))
+        assert len(rows) == len(want)
+        for level, pair, cell, _ in rows:
+            assert float(cell) == want[int(level), pair]
+        ratios = list(csv.reader((tmp_path / "resist_ratios.csv").read_text().splitlines()[2:]))
+        assert len(ratios) == len(res["ratios"])
+        for pair, _, _, cell in ratios:
+            i, j = map(int, pair.split("-"))
+            assert float(cell) == res["ratios"][i, j][0]
 
 
 class TestConverge:

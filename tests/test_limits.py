@@ -1,5 +1,6 @@
 """Set metrics, empirical image laws, and the scaling experiments."""
 
+import hashlib
 import math
 from fractions import Fraction
 from random import Random
@@ -7,7 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from lerw.chain import StepCapExceeded
+from lerw.chain import StepCapExceeded, sample_until_entry, trajectory_stream
 from lerw.fractal import (
     FractalGraph,
     carpet_graph,
@@ -19,6 +20,7 @@ from lerw.fractal import (
 from lerw.limits import (
     EmpiricalSetLaw,
     WalkConfig,
+    _graph_walker,
     coupled_refinement_distance,
     empirical_tv,
     hausdorff,
@@ -30,7 +32,7 @@ from lerw.limits import (
     set_law_from_text,
     set_law_to_text,
 )
-from lerw.network import build_network
+from lerw.network import build_network, walk_from_network
 
 
 def law(kind, grid, atoms):
@@ -160,6 +162,46 @@ class TestEmpiricalSetLaw:
         assert empirical_tv(a, a) == 0.0
 
 
+def family_graph(kind, m):
+    return gasket_graph(m) if kind == "gasket" else carpet_graph(standard_carpet(), m)
+
+
+class TestGraphWalks:
+    @pytest.mark.parametrize("kind, m", [("gasket", 2), ("carpet", 1)])
+    def test_graph_walks_equal_chain_walks(self, kind, m):
+        # a graph walk is the walk chain of the graph's unit network,
+        # drawn from the same uniforms
+        g = family_graph(kind, m)
+        c = corner_indices(g)
+        walk, _ = _graph_walker(WalkConfig(g, 41), c[0], c[1:])
+        chain = walk_from_network(uniform_network(g, "double"))
+        for i in range(200):
+            expected = sample_until_entry(chain, c[0], c[1:], trajectory_stream(41, i))
+            assert tuple(walk(i)) == expected, i
+
+    def test_fixed_seed_outputs_are_pinned(self):
+        # sha256 digests recorded with the earlier floor(u*deg) graph
+        # sampler; they pin every graph walk bit for bit
+        g = gasket_graph(2)
+        c = corner_indices(g)
+        digests = [
+            hashlib.sha256(
+                set_law_to_text(lerw_set_law(WalkConfig(g, 7), c[0], [c[1], c[2]], 2000, pipe)).encode()
+            ).hexdigest()
+            for pipe in ("LE", [g.nested[0], g.nested[1]])
+        ]
+        assert digests == [
+            "0831a00f7c21a302829c68fd1ab8d82814f229e3205afe10474a077c85910c84",
+            "612bd4e63841de3d379f846c358e8b836a41d4ce11cb089cb3666bfbea2c907c",
+        ]
+        g = carpet_graph(standard_carpet(), 2)
+        c = corner_indices(g)
+        st = coupled_refinement_distance(WalkConfig(g, 31), 1, c[0], [c[3]], 300)
+        assert hashlib.sha256(st["distances"].tobytes()).hexdigest() == (
+            "473ae7607ff3273799e53d821240f3e1cde0908a3d1b730f375cbc5cab283b05"
+        )
+
+
 class TestLerwSetLaw:
     def test_deterministic_walk_is_dirac(self):
         g = path_stub(2)
@@ -228,6 +270,10 @@ class TestLerwSetLaw:
         g = path_stub(4, edges=((0, 1), (2, 3)))
         with pytest.raises(StepCapExceeded):
             lerw_set_law(WalkConfig(g, 1, step_cap=100), 0, [3], 1)
+
+    def test_isolated_vertex_elsewhere_is_harmless(self):
+        g = path_stub(3, edges=((0, 1),))
+        assert lerw_set_law(WalkConfig(g, 2), 0, [1], 5).atoms == {((0, 0), (1, 0)): 5}
 
     def test_bad_targets_rejected(self):
         g = path_stub(2)
