@@ -1,7 +1,9 @@
-"""Small dense linear solvers for the two numeric modes.
+"""Exact and checked linear solves shared by the two numeric modes.
 
-Rational mode works on lists of lists of Fraction and eliminates exactly;
-double mode defers to numpy but verifies the residual, since downstream
+`solve_fraction` is dense Gauss-Jordan elimination over Fraction, for
+the small chain systems of `exactlaw`. `solve_double` solves in float64,
+and every float solve in the package (here and the sparse network
+solves) passes its result through `check_residual`, since downstream
 quantities (Green values, resistances) are compared at tight tolerances.
 """
 
@@ -51,22 +53,29 @@ def solve_fraction(a, b):
     return [[b[r][c] / a[r][r] for c in range(m)] for r in range(n)]
 
 
-def invert_fraction(a):
-    n = len(a)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return solve_fraction(a, eye)
+def check_residual(a, x, b) -> None:
+    """Refuse a float solution x of a x = b whose backward error is too big.
+
+    The normwise backward error |a x - b| / (|a| |x| + |b|), in the max
+    norm, must not exceed RESIDUAL_TOL; otherwise SingularSystemError.
+    Unlike a residual scaled by the entries of a and b alone, it accepts
+    backward-stable solutions of any size.  a may be dense or sparse.
+    """
+    if not np.size(x):
+        return
+    scale = abs(a).sum(axis=1).max() * abs(x).max() + abs(b).max()
+    resid = float(abs(a @ x - b).max() / scale) if scale else 0.0
+    if not np.isfinite(resid) or resid > RESIDUAL_TOL:
+        raise SingularSystemError(f"residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
 def solve_double(a, b):
-    """Solve a x = b in float64 and insist on a small residual."""
+    """Solve a x = b in float64 and insist on a small backward error."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()) if b.size else 1.0)
-    resid = float(np.abs(a @ x - b).max()) / scale
-    if not np.isfinite(resid) or resid > RESIDUAL_TOL:
-        raise SingularSystemError(f"residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    check_residual(a, x, b)
     return x

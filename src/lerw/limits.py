@@ -199,6 +199,8 @@ def _graph_walker(config: WalkConfig, x: int, targets: Iterable):
     indptr, nbr = adjacency_arrays(g)
     flat, bounds = nbr.tolist(), indptr.tolist()
     nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    if not nbrs[x]:
+        raise ValueError(f"start vertex {x} at {g.vertices[x]} has no neighbours")
     # rows of equal degree share one cumulative list
     shared = {d: _cum_row(np.full(d, 1.0) / d) for d in {len(r) for r in nbrs}}
     cums = [shared[len(r)] for r in nbrs]

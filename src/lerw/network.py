@@ -2,21 +2,24 @@
 
 Conductances live on unordered vertex pairs; an absent pair means zero.
 Everything downstream (resistance, harmonic extension, tracing) reduces
-to Dirichlet problems for the weighted graph Laplacian, solved exactly
-over Fractions in rational mode. Double mode builds one CSR Laplacian per
-network and solves every problem with a sparse LU whose residual is
-checked.
+to Dirichlet problems for the weighted graph Laplacian. Rational mode
+solves them exactly with one sparse elimination, `_star_mesh`: vertices
+go one star at a time, smallest star first, and a trace reads the
+reduced conductances while a Dirichlet solve back-substitutes the
+potentials. Double mode builds one CSR Laplacian per network and solves
+every problem with a sparse LU whose residual is checked.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._exact import RESIDUAL_TOL, SingularSystemError, solve_fraction
+from ._exact import SingularSystemError, check_residual
 from .chain import MarkovChain, build_chain
 
 
@@ -181,9 +184,8 @@ def laplacian(net: ElectricalNetwork):
 def _solve_block(net: ElectricalNetwork, idx: list, rhs: np.ndarray) -> np.ndarray:
     """Solve L[idx, idx] u = rhs with one sparse LU for all columns of rhs.
 
-    Raises SingularSystemError when the factorization fails or when the
-    residual, relative to |L| |u| + |rhs| in the max norm, exceeds
-    RESIDUAL_TOL.
+    Raises SingularSystemError when the factorization fails or when
+    `check_residual` refuses the solution.
     """
     from scipy.sparse.linalg import splu
 
@@ -192,14 +194,62 @@ def _solve_block(net: ElectricalNetwork, idx: list, rhs: np.ndarray) -> np.ndarr
         u = splu(a).solve(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from None
-    scale = abs(a).sum(axis=1).max() * abs(u).max() + abs(rhs).max()
-    resid = float(abs(a @ u - rhs).max() / scale) if scale else 0.0
-    if not np.isfinite(resid) or resid > RESIDUAL_TOL:
-        raise SingularSystemError(f"residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    check_residual(a, u, rhs)
     return u
 
 
 _EVERY = object()
+
+
+def _star_mesh(net: ElectricalNetwork, drop, current: Mapping | None = None):
+    """Eliminate the vertices of `drop` one star at a time, exactly.
+
+    Smallest star first, ties broken by vertex position, which keeps the
+    fill-in down. Eliminating v with star conductances c_va (total c_v)
+    joins each pair of its neighbours a, b by c_va c_vb / c_v and hands
+    the share c_va / c_v of v's injected current on to each a.
+
+    Returns (adj, current, stars): the reduced conductances and currents
+    of the vertices left, and for every eliminated vertex, in order, the
+    record (v, star, c_v, current at v) that back-substitution needs.
+    """
+    adj: dict = {v: {} for v in net.vertices}
+    for key, c in net.conductances.items():
+        x, y = key
+        adj[x][y] = adj[y][x] = Fraction(c)
+    cur = {v: Fraction(f) for v, f in (current or {}).items() if f}
+    pos = net._pos
+    remaining = set(drop)
+    heap = [(len(adj[v]), pos[v], v) for v in remaining]
+    heapq.heapify(heap)
+    stars = []
+    while heap:
+        size, _, v = heapq.heappop(heap)
+        if v not in remaining or size != len(adj[v]):
+            continue  # a stale entry: v is gone or its star has changed
+        remaining.discard(v)
+        star = list(adj.pop(v).items())
+        total = sum(c for _, c in star)
+        f = cur.pop(v, 0)
+        for i, (a, ca) in enumerate(star):
+            del adj[a][v]
+            if f:
+                cur[a] = cur.get(a, 0) + ca * f / total
+            for b, cb in star[i + 1 :]:
+                add = ca * cb / total
+                adj[a][b] = adj[a].get(b, 0) + add
+                adj[b][a] = adj[b].get(a, 0) + add
+        for a, _ in star:
+            if a in remaining:
+                heapq.heappush(heap, (len(adj[a]), pos[a], a))
+        stars.append((v, star, total, f))
+    return adj, cur, stars
+
+
+def _potential(star, total, f, u: Mapping) -> list:
+    """Row of potentials at an eliminated vertex: (f + sum c_va u_a) / c_v."""
+    cols = zip(*(u[a] for a, _ in star))
+    return [(f + sum(c * g for (_, c), g in zip(star, col))) / total for col in cols]
 
 
 def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping, at=_EVERY):
@@ -209,6 +259,10 @@ def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping
     row with one entry per right-hand side; all columns share one solve
     and the same current. Returns the row at vertex `at`, or by default a
     dict of every vertex's row. Unknown vertices raise ValueError.
+
+    Rational mode eliminates the interior exactly with `_star_mesh`
+    (keeping `at` to the end), then back-substitutes in reverse order;
+    double mode solves the interior block with one sparse LU.
     """
     if not boundary:
         raise ValueError("boundary must be non-empty")
@@ -221,30 +275,27 @@ def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping
     interior = [v for v in net.vertices if v not in boundary]
     if not interior:
         return dict(boundary)
-    row = {v: i for i, v in enumerate(interior)}
-    k, m = len(interior), len(next(iter(boundary.values())))
     if net.mode == "rational":
-        a = [[Fraction(0)] * k for _ in range(k)]
-        b = [[Fraction(current.get(v, 0))] * m for v in interior]
-        for v in interior:
-            i = row[v]
-            a[i][i] = net.weight(v)
-            for y, c in net.neighbors(v):
-                j = row.get(y)
-                if j is None:
-                    b[i] = [bi + c * Fraction(g) for bi, g in zip(b[i], boundary[y])]
-                else:
-                    a[i][j] -= c
-        u = solve_fraction(a, b)
-    else:
-        ipos = [net._pos[v] for v in interior]
-        rhs = np.zeros((k, m))
-        for v, c in current.items():
-            if v in row:
-                rhs[row[v]] += float(c)
-        g = np.array([boundary[v] for v in boundary], dtype=float)
-        rhs -= laplacian(net)[ipos][:, bpos] @ g
-        u = _solve_block(net, ipos, rhs)
+        u = {v: [Fraction(g) for g in row] for v, row in boundary.items()}
+        drop = interior if at is _EVERY else [v for v in interior if v != at]
+        adj, cur, stars = _star_mesh(net, drop, current)
+        if at is not _EVERY:
+            star = list(adj[at].items())
+            return _potential(star, sum(c for _, c in star), cur.get(at, 0), u)
+        for v, star, total, f in reversed(stars):
+            u[v] = _potential(star, total, f, u)
+        out = dict(boundary)
+        out.update((v, u[v]) for v in interior)
+        return out
+    row = {v: i for i, v in enumerate(interior)}
+    ipos = [net._pos[v] for v in interior]
+    rhs = np.zeros((len(interior), len(next(iter(boundary.values())))))
+    for v, c in current.items():
+        if v in row:
+            rhs[row[v]] += float(c)
+    g = np.array([boundary[v] for v in boundary], dtype=float)
+    rhs -= laplacian(net)[ipos][:, bpos] @ g
+    u = _solve_block(net, ipos, rhs)
     if at is not _EVERY:
         return u[row[at]]
     out = dict(boundary)
@@ -310,9 +361,11 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     subset sees: pairwise effective resistances are preserved and the
     induced walk is the original walk watched on its visits to the subset.
 
-    Rational mode eliminates complement vertices one at a time (star-mesh,
-    exact); double mode takes the Schur complement L_KK - L_KO L_OO^-1 L_OK
-    of the Laplacian in one block step, with one sparse solve.
+    Rational mode eliminates the complement exactly with `_star_mesh`,
+    the elimination every rational Dirichlet solve runs, and keeps the
+    reduced conductances; double mode takes the Schur complement
+    L_KK - L_KO L_OO^-1 L_OK of the Laplacian in one block step, with one
+    sparse solve.
     """
     kset = frozenset(keep)
     if not kset <= set(net.vertices):
@@ -325,28 +378,7 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
         return ElectricalNetwork(tuple(kept), dict(net.conductances), net.mode)
 
     if net.mode == "rational":
-        adj: dict = {v: {} for v in net.vertices}
-        for key, c in net.conductances.items():
-            x, y = key
-            adj[x][y] = adj[x].get(y, Fraction(0)) + c
-            adj[y][x] = adj[y].get(x, Fraction(0)) + c
-        order = net._pos
-        remaining = set(drop)
-        while remaining:
-            # smallest star first keeps the fill-in down
-            v = min(remaining, key=lambda w: (len(adj[w]), order[w]))
-            remaining.discard(v)
-            star = list(adj[v].items())
-            total = sum(c for _, c in star)
-            for i in range(len(star)):
-                a, ca = star[i]
-                del adj[a][v]
-                for j in range(i + 1, len(star)):
-                    b, cb = star[j]
-                    add = ca * cb / total
-                    adj[a][b] = adj[a].get(b, Fraction(0)) + add
-                    adj[b][a] = adj[b].get(a, Fraction(0)) + add
-            del adj[v]
+        adj, _, _ = _star_mesh(net, drop)
         cond = {}
         for x in kept:
             for y, c in adj[x].items():

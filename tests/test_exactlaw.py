@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 from random import Random
 
+import numpy as np
 import pytest
 
 from lerw._exact import SingularSystemError
@@ -103,6 +104,40 @@ class TestGreen:
         for x in "ab":
             for y in "ab":
                 assert abs(g_float.value(x, y) - float(g_exact.value(x, y))) < 1e-12
+
+
+class TestResidualCheck:
+    def test_double_solves_check_their_residual(self, monkeypatch):
+        real = np.linalg.solve
+
+        def skewed(a, b):
+            """Solutions off by one part in a million."""
+            return real(a, b) * (1 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "solve", skewed)
+        ch = cycle_chain().as_double()
+        calls = [
+            lambda: green(ch, {"a", "b"}),
+            lambda: traced_kernel(ch, {"a", "c"}, {"d"}, "hitting-set"),
+            lambda: traced_kernel(ch, {"a", "c"}, (), "exclude-current"),
+        ]
+        for call in calls:
+            with pytest.raises(SingularSystemError, match="residual"):
+                call()
+
+    def test_large_green_values_pass(self):
+        # exit from {a, b} has probability 1e-8 per step, so G is about
+        # 5e7; the float solve's backward error stays near machine
+        # precision, while a residual scaled only by the entries of the
+        # system (2.8e-9 here) would refuse it
+        e = Fraction(1, 10**8)
+        ch = build_chain("abc", [[0, 1 - e, e], [1 - e, 0, e], [0, 0, 1]], "rational")
+        exact = green(ch, {"a", "b"})
+        approx = green(ch.as_double(), {"a", "b"})
+        for x in "ab":
+            for y in "ab":
+                assert exact.value(x, y) > 10**7
+                assert abs(approx.value(x, y) / float(exact.value(x, y)) - 1) < 1e-7
 
 
 class TestFProduct:

@@ -275,6 +275,13 @@ class TestLerwSetLaw:
         g = path_stub(3, edges=((0, 1),))
         assert lerw_set_law(WalkConfig(g, 2), 0, [1], 5).atoms == {((0, 0), (1, 0)): 5}
 
+    def test_isolated_start_is_named(self):
+        g = path_stub(3, edges=((0, 1),))
+        with pytest.raises(ValueError, match=r"start vertex 2 at \(2, 0\) has no neighbours"):
+            lerw_set_law(WalkConfig(g, 2), 2, [0], 5)
+        with pytest.raises(ValueError, match="start vertex 2"):
+            coupled_refinement_distance(WalkConfig(g, 2), 0, 2, [0], 5)
+
     def test_bad_targets_rejected(self):
         g = path_stub(2)
         with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from lerw._exact import SingularSystemError
+from lerw._exact import SingularSystemError, solve_fraction
 from lerw.chain import sample_until_entry, trajectory_stream
 from lerw.exactlaw import traced_kernel
+from lerw.fractal import corner_indices, gasket_graph, uniform_network
 from lerw.network import (
     ElectricalNetwork,
     build_network,
@@ -347,10 +348,11 @@ class TestDoubleMatchesRational:
                 assert_close(approx[v], exact[v])
 
     def test_long_path(self):
-        # Rational mode's dense elimination is cubic in the vertex count,
-        # so the exact values on 1100 edges come from the exact star-mesh
-        # trace onto the probed vertices, which keeps resistances and
-        # hitting laws, and for exit times from gambler's ruin.
+        # The exact values on 1100 edges come from the rational trace
+        # onto the probed vertices, which keeps resistances and hitting
+        # laws, and for exit times from gambler's ruin; TestRationalSolves
+        # checks rational mode on the whole path against the same closed
+        # forms.
         n = 1100
         dnet = long_path(n)
         probes = ["p0", "p1", "p377", "p550", "p1099", f"p{n}"]
@@ -371,6 +373,73 @@ class TestDoubleMatchesRational:
         # n^2 - i^2 to reach p_n when p_0 reflects
         assert_close(expected_exit_time(dnet, "p377", {"p0", f"p{n}"}), 377 * (n - 377))
         assert_close(expected_exit_time(dnet, "p377", {f"p{n}"}), n * n - 377 * 377)
+
+
+def dense_potentials(net, boundary, current):
+    """Every vertex's potential from the interior block of the Laplacian,
+    assembled densely and solved by Gauss-Jordan over Fractions."""
+    interior = [v for v in net.vertices if v not in boundary]
+    a = [
+        [net.weight(v) if v == w else -net.conductance(v, w) for w in interior]
+        for v in interior
+    ]
+    b = [
+        [current.get(v, 0) + sum(net.conductance(v, t) * g for t, g in boundary.items())]
+        for v in interior
+    ]
+    u = dict(boundary)
+    u.update((v, row[0]) for v, row in zip(interior, solve_fraction(a, b)))
+    return u
+
+
+class TestRationalSolves:
+    def test_equal_dense_reference(self):
+        rng = Random(71)
+        for _ in range(80):
+            net = random_network(rng, rng.randint(3, 8), extra_edges=rng.randint(0, 6))
+            x, y = rng.sample(net.vertices, 2)
+            r = effective_resistance(net, x, y)
+            assert isinstance(r, Fraction)
+            assert r == dense_potentials(net, {y: 0}, {x: 1})[x]
+            a = frozenset(rng.sample(net.vertices, rng.randint(1, net.n - 1)))
+            rest = [v for v in net.vertices if v not in a]
+            x = rng.choice(rest)
+            grounded = {t: 0 for t in a}
+            assert effective_resistance_to_set(net, x, a) == dense_potentials(net, grounded, {x: 1})[x]
+            times = dense_potentials(net, grounded, {v: net.weight(v) for v in rest})
+            for v in net.vertices:
+                assert expected_exit_time(net, v, a) == times[v]
+            hm = hitting_distribution(net, x, a)
+            assert list(hm) == [v for v in net.vertices if v in a]
+            for s in a:
+                assert hm[s] == dense_potentials(net, {t: int(t == s) for t in a}, {})[x]
+            bnd = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in a}
+            u = harmonic_extension(net, bnd)
+            assert list(u) == list(bnd) + rest
+            assert u == dense_potentials(net, bnd, {})
+            if len(rest) >= 2:
+                x, y = rng.sample(rest, 2)
+                rep = check_hitting_bound(net, x, y, a)
+                assert rep.probability == dense_potentials(net, {**grounded, y: 1}, {})[x]
+                r_xy = dense_potentials(net, {y: 0}, {x: 1})[x]
+                r_xa = dense_potentials(net, grounded, {x: 1})[x]
+                assert rep.vacuous == (r_xa <= r_xy)
+                if not rep.vacuous:
+                    assert rep.bound == 1 - r_xy / (r_xa - r_xy)
+
+    def test_gasket_level5_corner_resistance(self):
+        g = gasket_graph(5)
+        net = uniform_network(g, "rational")
+        c = corner_indices(g)
+        assert effective_resistance(net, c[0], c[1]) == Fraction(2, 3) * Fraction(5, 3) ** 5
+
+    def test_long_path_closed_forms(self):
+        n = 1100
+        net = build_network([(f"p{i}", f"p{i+1}", 1) for i in range(n)])
+        assert effective_resistance(net, "p0", f"p{n}") == n
+        for i in (1, 377, 550, n - 1):
+            assert expected_exit_time(net, f"p{i}", {"p0", f"p{n}"}) == i * (n - i)
+            assert expected_exit_time(net, f"p{i}", {f"p{n}"}) == n * n - i * i
 
 
 class TestUnknownVertices:
