@@ -33,6 +33,7 @@ from pathlib import Path
 from random import Random
 
 from .chain import STEP_CAP, MarkovChain, StepCapExceeded, build_chain, chain_from_text, dense_chain, reachability_closure
+from .erasure import fold_step
 from .exactlaw import (
     GuardError,
     enumerate_erasure_law,
@@ -87,11 +88,8 @@ def bundled_chain() -> MarkovChain:
 
 def _buggy_ple_step(prefix: tuple, y, retained) -> tuple:
     """Negative-control hook: erases to the revisit but keeps it twice."""
-    if retained is None or y in retained:
-        for k in range(len(prefix) - 1, -1, -1):
-            if prefix[k] == y:
-                return prefix[: k + 1] + (y,)
-    return prefix + (y,)
+    out = fold_step(prefix, y, retained)
+    return out if len(out) > len(prefix) else out + (y,)
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +756,9 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     else:
         chains = [bundled_chain()]
 
-    # a broken erasure keeps revisited states, so its enumeration state
-    # space grows with the horizon; verification under the injected bug
-    # therefore runs at the fixed cap instead of tol-driven sizing
+    # a broken erasure keeps revisited states, so its tower chain is
+    # infinite; verification under the injected bug therefore runs at the
+    # fixed cap instead of the exact elimination
     tol = None
     if not inject and cfg.get("tol") is not None:
         tol = Fraction(str(cfg["tol"]))
@@ -924,7 +922,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states-max", type=int, dest="states_max", help="fuzz chain size cap")
     p.add_argument("--max-cases", type=int, dest="max_cases",
                    help="cases checked per chain")
-    p.add_argument("--tol", type=float, help="tail bound target per law")
+    p.add_argument("--tol", type=float, help="any positive value solves each law exactly (tail bound 0)")
     p.add_argument("--length-cap", type=int, dest="length_cap")
     p.set_defaults(cmd=_cmd_verify_theorem1)
 
@@ -979,7 +977,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--absorbing", help="absorbing states, comma separated")
     p.add_argument("--pipeline", help='"le" or stages like a,c;a,b,c,d')
     p.add_argument("--length-cap", dest="length_cap", type=int)
-    p.add_argument("--tol", type=float, help="raise the cap until tails meet this")
+    p.add_argument(
+        "--tol", type=float,
+        help="exact law (tail 0) if the last stage is full, else step until the tail meets this",
+    )
     p.set_defaults(cmd=_cmd_exact_law)
 
     return parser

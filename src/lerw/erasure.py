@@ -99,22 +99,34 @@ def loop_erase(w: Sequence) -> ErasureResult:
     return ErasureResult(tuple(out), tuple(idx))
 
 
-def erase_step(prefix: tuple, indices: tuple, t: int, y, retained: frozenset | None):
-    """One left-fold step of (partial) loop erasure.
+def fold_step(prefix: tuple, y, retained) -> tuple:
+    """One left-fold step of (partial) loop erasure on the erased prefix.
 
-    prefix/indices are the erasure of the input consumed so far, y is the
-    next state with input position t.  retained None means full loop
-    erasure.  Returns the new (prefix, indices) pair.  Folding this step
-    over a path reproduces loop_erase / partial_loop_erase, which the
-    tests check; the exact enumerator folds its own step,
-    `exactlaw._ple_step`, and the samplers call the erasures directly.
+    prefix is the erasure of the input consumed so far and y the next
+    state; retained None means full loop erasure.  A revisit of an
+    erasable y cuts the prefix back to its earlier copy; anything else is
+    appended.  This is the step the exact enumerator folds.
     """
-    erasable = retained is None or y in retained
-    if erasable:
+    if retained is None or y in retained:
         for k in range(len(prefix) - 1, -1, -1):
             if prefix[k] == y:
-                return prefix[: k + 1], indices[: k + 1]
-    return prefix + (y,), indices + (t,)
+                return prefix[: k + 1]
+    return prefix + (y,)
+
+
+def erase_step(prefix: tuple, indices: tuple, t: int, y, retained: frozenset | None):
+    """fold_step that also carries the surviving input indices.
+
+    prefix/indices are the erasure of the input consumed so far, y is the
+    next state with input position t.  Returns the new (prefix, indices)
+    pair.  Folding this step over a path reproduces loop_erase /
+    partial_loop_erase, which the tests check; the samplers call the
+    erasures directly.
+    """
+    out = fold_step(prefix, y, retained)
+    if len(out) > len(prefix):
+        return out, indices + (t,)
+    return out, indices[: len(out)]
 
 
 def partial_loop_erase(w: Sequence, retained: Iterable) -> ErasureResult:

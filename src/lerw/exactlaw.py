@@ -5,14 +5,19 @@ mode no floating point enters: Green values, path probabilities and the
 enumerated laws are Fractions, so equalities between laws can be asserted
 with == rather than tolerances.
 
-The enumerator aggregates trajectories by the running first-stage erasure
-state (a sufficient statistic for the final pipeline output), which keeps
-exhaustive enumeration tractable at the caps needed for certified tails.
-The slow per-trajectory recursion is kept alongside as a cross-check.
+Erased-walk laws aggregate trajectories by their "tower", the running
+erasure state of the whole pipeline (a sufficient statistic for its
+output).  With tol given and a last stage retaining every non-absorbing
+state, the tower chain is finite and is eliminated exactly by
+Grassmann–Taksar–Heyman state reduction on integer weights: the law is
+exact and its tail bound 0.  Otherwise mass is stepped forward in time
+and the tail bound is the certified unabsorbed mass.  The slow
+per-trajectory recursion is kept alongside as a cross-check.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +27,11 @@ import numpy as np
 
 from ._exact import SingularSystemError, solve_double, solve_fraction
 from .chain import MarkovChain, reachability_closure
+from .erasure import fold_step
 
 DELTA = "Δ"  # absorbing sink label used by traced kernels
-ENUM_STATE_GUARD = 8
+ENUM_STATE_GUARD = 8  # most chain states an enumeration accepts
+TOWER_GUARD = 50_000  # most towers one enumeration may intern
 
 
 class GuardError(RuntimeError):
@@ -62,8 +69,9 @@ def green(chain: MarkovChain, domain: Iterable) -> GreenTable:
     Requires exit from the domain to be almost sure from each of its
     states; otherwise the system is singular and an error is raised.
     """
-    dom = [s for s in chain.states if s in frozenset(domain)]
-    if frozenset(domain) - set(dom):
+    domain = frozenset(domain)
+    dom = [s for s in chain.states if s in domain]
+    if domain - set(dom):
         raise ValueError("domain contains unknown states")
     if len(dom) == len(chain.states):
         raise ValueError("domain must be a strict subset of the state space")
@@ -249,15 +257,6 @@ def law_from_text(text: str) -> PathLaw:
 # Exhaustive enumeration of erased-walk laws
 
 
-def _ple_step(prefix: tuple, y, retained) -> tuple:
-    """Left-fold step of partial loop erasure (retained None = full)."""
-    if retained is None or y in retained:
-        for k in range(len(prefix) - 1, -1, -1):
-            if prefix[k] == y:
-                return prefix[: k + 1]
-    return prefix + (y,)
-
-
 def _normalize_pipeline(chain: MarkovChain, pipeline):
     """Return the pipeline as a list of frozenset stages (None = full)."""
     if isinstance(pipeline, str):
@@ -285,7 +284,7 @@ def _normalize_pipeline(chain: MarkovChain, pipeline):
 # later stage, so the tower is a sufficient statistic for the final
 # pipeline output.  Unretained stretches are never stored (only the last
 # stage keeps its literal partial path), which is what keeps the state
-# space finite when the pipeline ends in full loop erasure.
+# space finite when the last stage retains every non-absorbing state.
 
 
 def _tower_init(x, stages, step):
@@ -316,22 +315,68 @@ def _tower_final(state, depth: int) -> tuple:
     return state
 
 
-def _min_absorb_prob(chain: MarkovChain, absorbing: frozenset, closure: frozenset):
-    """min over relevant states of P(hit the absorbing set within n steps)."""
-    n = chain.n
-    states = chain.states
-    one = Fraction(1) if chain.mode == "rational" else 1.0
-    zero = Fraction(0) if chain.mode == "rational" else 0.0
-    u = [one if s in absorbing else zero for s in states]
-    for _ in range(n):
-        u = [
-            one
-            if s in absorbing
-            else sum(p * u[j] for j, p in enumerate(chain.kernel[i]) if p > 0)
-            for i, s in enumerate(states)
-        ]
-    relevant = [u[i] for i, s in enumerate(states) if s in closure and s not in absorbing]
-    return min(relevant) if relevant else one
+def _eliminate(out: list, sinks: list, start: int, rational: bool) -> dict:
+    """Absorption weights of the start tower, by GTH state reduction.
+
+    out[i] maps the towers that tower i moves to, and sinks[i] the final
+    paths it can end on, to positive weights; both are consumed.  Every
+    tower but the start is eliminated, fewest in-edges times out-edges
+    first (ties by id).  Eliminating s rewrites each predecessor row as
+    T_s * row_i + w_is * row_s, where T_s is the total weight of s's row,
+    and drops the self-loops this creates: rows need only be proportional
+    to the exit probabilities, so nothing is ever subtracted.  Each
+    changed row is divided by its gcd (rescaled to total 1 in double
+    mode).  Returns the start's sink weights, proportional to the law.
+    """
+    preds = [set() for _ in out]
+    for i, row in enumerate(out):
+        row.pop(i, None)
+        for k in row:
+            preds[k].add(i)
+    live = set(range(len(out)))
+    live.discard(start)
+
+    def cost(t: int) -> int:
+        return len(preds[t]) * (len(out[t]) + len(sinks[t]))
+
+    heap = [(cost(t), t) for t in live]  # stale entries are skipped
+    heapq.heapify(heap)
+    while heap:
+        c, s = heapq.heappop(heap)
+        if s not in live or c != cost(s):
+            continue
+        live.discard(s)
+        out_s, sinks_s = out[s], sinks[s]
+        out[s] = sinks[s] = None
+        total = sum(out_s.values()) + sum(sinks_s.values())
+        for k in out_s:
+            preds[k].discard(s)
+        for i in preds[s]:
+            out_i, sinks_i = out[i], sinks[i]
+            w = out_i.pop(s)
+            for row_i, row_s in ((out_i, out_s), (sinks_i, sinks_s)):
+                for k in row_i:
+                    row_i[k] *= total
+                for k, v in row_s.items():
+                    row_i[k] = row_i.get(k, 0) + w * v
+            out_i.pop(i, None)
+            for k in out_s:
+                if k != i:
+                    preds[k].add(i)
+            if rational:
+                g = math.gcd(*out_i.values(), *sinks_i.values())
+                if g > 1:
+                    for row_i in (out_i, sinks_i):
+                        for k in row_i:
+                            row_i[k] //= g
+            else:
+                t = sum(out_i.values()) + sum(sinks_i.values())
+                for row_i in (out_i, sinks_i):
+                    for k in row_i:
+                        row_i[k] /= t
+        for t in (preds[s] | out_s.keys()) & live:
+            heapq.heappush(heap, (cost(t), t))
+    return sinks[start]
 
 
 def enumerate_erasure_law(
@@ -343,15 +388,22 @@ def enumerate_erasure_law(
     tol=None,
     step_fn: Callable | None = None,
 ) -> PathLaw:
-    """Exact law of the erased walk stopped on entering the absorbing set.
+    """Law of the erased walk stopped on entering the absorbing set.
 
     pipeline is "LE" for plain loop erasure or a nested sequence of
-    retained sets applied in order.  All trajectories up to the working
-    cap are summed; the certified tail_bound is the exact mass of
-    trajectories still unabsorbed at the cap.  When tol is given the cap
-    is raised (beyond length_cap if needed) until the bound can meet tol,
-    using the D-step minimum absorption probability to size it, and a
-    GuardError is raised if the bound still ends up above tol.
+    retained sets applied in order.  Trajectories are aggregated by their
+    tower, which determines the final pipeline output.
+
+    When tol is given and the last stage retains every non-absorbing
+    state (as "LE" and every pipeline ending in the full set do), the
+    towers reachable from the start are finitely many.  The tower chain
+    is then built by breadth-first search and eliminated exactly
+    (`_eliminate`), so the law is exact and tail_bound is 0 whatever
+    tol is.  Otherwise the mass is stepped forward one walk step at a
+    time: for length_cap steps when tol is None, else until the mass
+    still unabsorbed is at most tol.  tail_bound is that unabsorbed mass,
+    a certified bound on what the atoms miss.  Interning more than
+    TOWER_GUARD towers raises GuardError.
 
     step_fn overrides the innermost erasure fold step; it exists so
     negative controls can inject a broken erasure.  Leave it None.
@@ -368,18 +420,12 @@ def enumerate_erasure_law(
         raise ValueError(f"entry into the absorbing set is not almost sure from {start!r}")
     stages = _normalize_pipeline(chain, pipeline)
     depth = len(stages)
-    step = step_fn if step_fn is not None else _ple_step
+    step = step_fn if step_fn is not None else fold_step
     rational = chain.mode == "rational"
-
-    cap = length_cap
     if tol is not None:
         tol = Fraction(tol) if rational else float(tol)
-        p_min = _min_absorb_prob(chain, a, closure)
-        if p_min >= 1:
-            cap = max(cap, chain.n)
-        else:
-            rounds = math.log(float(tol)) / math.log(1.0 - float(p_min))
-            cap = max(cap, chain.n * (int(rounds) + 2) * 4)
+        if tol <= 0:
+            raise ValueError("tol must be positive")
 
     if start in a:
         one = Fraction(1) if rational else 1.0
@@ -387,10 +433,10 @@ def enumerate_erasure_law(
         return PathLaw({(start,): one}, zero, chain.mode)
 
     if rational:
-        # integer masses over a running power of the common denominator
+        # integer weights: the kernel times the lcm of its denominators
         denom = math.lcm(*[p.denominator for row in chain.kernel for p in row])
         moves = [
-            [(j, int(p * denom)) for j, p in enumerate(row) if p > 0]
+            [(j, p.numerator * (denom // p.denominator)) for j, p in enumerate(row) if p]
             for row in chain.kernel
         ]
     else:
@@ -400,60 +446,77 @@ def enumerate_erasure_law(
     in_a = [s in a for s in states]
     sidx = {s: i for i, s in enumerate(states)}
 
-    # Aggregated dynamic programming over interned tower states.  Each
-    # tower determines the current chain position (the innermost partial
-    # always ends with the element just consumed), so the walk kernel
-    # composes with the lazily built transition tables.
+    # Interned towers.  A tower determines the current chain position (the
+    # innermost partial always ends with the element just consumed), so
+    # its moves are the walk kernel's row there, each fed through the
+    # pipeline: a move into the absorbing set ends on a final path.
     ids: dict = {}
     towers: list = []
-    cur: list = []  # sid -> chain state index of the walk position
-    trans: list = []  # sid -> per-target-state successor sid
-    finals: list = []  # sid -> per-absorbing-target final output path
 
     def intern(tw) -> int:
         sid = ids.get(tw)
         if sid is None:
             sid = len(towers)
+            if sid == TOWER_GUARD:
+                raise GuardError(f"tower chain exceeds {TOWER_GUARD} towers")
             ids[tw] = sid
             towers.append(tw)
-            cur.append(sidx[_tower_final(tw, depth)[-1]])
-            trans.append([None] * len(states))
-            finals.append([None] * len(states))
         return sid
 
-    one_mass = 1 if rational else 1.0
-    alive = {intern(_tower_init(start, stages, step)): one_mass}
-    done: dict = {}
-    denom_pow = one_mass  # denom**t alongside the masses
-    for _ in range(cap):
-        if not alive:
-            break
-        denom_pow *= denom
-        if done:
-            for k in done:
-                done[k] *= denom
+    def expand(sid: int) -> tuple:
+        """One tower's weights {successor sid: w} and {final path: w}."""
+        tw = towers[sid]
         nxt: dict = {}
+        ends: dict = {}
+        for j, w in moves[sidx[_tower_final(tw, depth)[-1]]]:
+            fed = _tower_feed(tw, states[j], stages, 0, step)
+            if in_a[j]:
+                k, row = _tower_final(fed, depth), ends
+            else:
+                k, row = intern(fed), nxt
+            row[k] = row.get(k, 0) + w
+        return nxt, ends
+
+    origin = intern(_tower_init(start, stages, step))
+    last = stages[-1]
+    if tol is not None and (last is None or last >= frozenset(states) - a):
+        out, sinks = [], []
+        while len(out) < len(towers):  # breadth-first: expand interns in order
+            nxt, ends = expand(len(out))
+            out.append(nxt)
+            sinks.append(ends)
+        weights = _eliminate(out, sinks, origin, rational)
+        total = sum(weights.values())
+        if rational:
+            atoms = {p: Fraction(w, total) for p, w in weights.items()}
+            return PathLaw(atoms, Fraction(0), chain.mode)
+        return PathLaw({p: w / total for p, w in weights.items()}, 0.0, chain.mode)
+
+    # Time-stepping; rational masses are integers over a running power of denom.
+    zero_mass = 0 if rational else 0.0
+    alive = {origin: 1 if rational else 1.0}
+    done: dict = {}
+    succ: dict = {}  # sid -> expand(sid), built when the tower is first alive
+    denom_pow = 1 if rational else 1.0  # denom**t alongside the masses
+    steps = 0
+    while alive and (tol is not None or steps < length_cap):
+        denom_pow *= denom
+        for k in done:
+            done[k] *= denom
+        stepped: dict = {}
         for sid, mass in alive.items():
-            row_t = trans[sid]
-            row_f = finals[sid]
-            for j, numer in moves[cur[sid]]:
-                m2 = mass * numer
-                if in_a[j]:
-                    final = row_f[j]
-                    if final is None:
-                        fed = _tower_feed(towers[sid], states[j], stages, 0, step)
-                        final = row_f[j] = _tower_final(fed, depth)
-                    done[final] = done.get(final, 0 if rational else 0.0) + m2
-                else:
-                    sid2 = row_t[j]
-                    if sid2 is None:
-                        sid2 = row_t[j] = intern(
-                            _tower_feed(towers[sid], states[j], stages, 0, step)
-                        )
-                    nxt[sid2] = nxt.get(sid2, 0 if rational else 0.0) + m2
-        alive = nxt
-        alive_mass = sum(alive.values())
+            moved = succ.get(sid)
+            if moved is None:
+                moved = succ[sid] = expand(sid)
+            nxt, ends = moved
+            for k, w in nxt.items():
+                stepped[k] = stepped.get(k, zero_mass) + mass * w
+            for k, w in ends.items():
+                done[k] = done.get(k, zero_mass) + mass * w
+        alive = stepped
+        steps += 1
         if tol is not None:
+            alive_mass = sum(alive.values())
             if rational:
                 if alive_mass * tol.denominator <= tol.numerator * denom_pow:
                     break
@@ -466,8 +529,6 @@ def enumerate_erasure_law(
     else:
         tail = sum(alive.values())
         atoms = {p: m for p, m in done.items() if m > 0}
-    if tol is not None and tail > tol:
-        raise GuardError(f"tail bound {float(tail):.3e} exceeds requested {float(tol):.3e}")
     return PathLaw(atoms, tail, chain.mode)
 
 
@@ -555,11 +616,12 @@ def traced_kernel(
     sink state DELTA, which is absorbing; the sink appears only when the
     absorbing set is non-empty.
     """
-    sub = [s for s in chain.states if s in frozenset(subset)]
+    subset = frozenset(subset)
+    sub = [s for s in chain.states if s in subset]
     a = frozenset(absorbing)
     if not sub:
         raise ValueError("subset must be non-empty")
-    if frozenset(subset) - set(sub):
+    if subset - set(sub):
         raise ValueError("subset contains unknown states")
     if not a <= set(chain.states):
         raise ValueError("absorbing set leaves the state space")

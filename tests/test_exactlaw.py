@@ -1,18 +1,19 @@
 """Green tables, path-probability products, exact laws, traced kernels."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import numpy as np
 import pytest
 
 from lerw._exact import SingularSystemError
-from lerw.chain import build_chain, reachability_closure
+from lerw.chain import build_chain, dense_chain as named_chain, reachability_closure
 from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.exactlaw import (
     DELTA,
     GuardError,
+    TOWER_GUARD,
     PathLaw,
     enumerate_erasure_law,
     enumerate_trajectories,
@@ -27,7 +28,7 @@ from lerw.exactlaw import (
     _absorption_matrix,
 )
 
-from _gen import dense_chain, reversible_chain, sparse_chain
+from _gen import dense_chain, nested_sequences, reversible_chain, sparse_chain
 
 
 def escape_chain():
@@ -97,6 +98,14 @@ class TestGreen:
                     interior, rows = _absorption_matrix(ch, frozenset({y}), outside)
                     hit = dict(zip(interior, rows))[x][y]
                     assert g.value(x, y) == hit * g.value(y, y)
+
+    def test_one_shot_domain(self):
+        ch = named_chain(Random(1), 4, 12)
+        g = green(ch, iter(["s0", "s1", "s2"]))
+        assert g == green(ch, {"s0", "s1", "s2"})
+        assert g.states == ("s0", "s1", "s2")
+        with pytest.raises(ValueError, match="unknown"):
+            green(ch, iter(["s9", "s0"]))
 
     def test_double_mode_agrees(self):
         g_exact = green(escape_chain(), {"a", "b"})
@@ -171,6 +180,15 @@ class TestFProduct:
             f_product(escape_chain(), {"a", "b"}, ("a", "a"))
         with pytest.raises(ValueError, match="domain"):
             f_product(escape_chain(), {"a"}, ("a", "b"))
+
+
+def bad_step(prefix, y, retained):
+    """An off-by-one erasure: it keeps the revisited state twice."""
+    if retained is None or y in retained:
+        for k in range(len(prefix) - 1, -1, -1):
+            if prefix[k] == y:
+                return prefix[: k + 1] + (y,)
+    return prefix + (y,)
 
 
 def all_simple_absorbed_paths(chain, start, absorbing):
@@ -286,18 +304,11 @@ class TestEnumerate:
             assert tv_distance(le, ref) <= le.tail_bound + ref.tail_bound
 
     def test_negative_control_detected(self):
-        # an off-by-one erasure keeps the revisited state twice; the laws split
-        def bad_step(prefix, y, retained):
-            if retained is None or y in retained:
-                for k in range(len(prefix) - 1, -1, -1):
-                    if prefix[k] == y:
-                        return prefix[: k + 1] + (y,)
-            return prefix + (y,)
-
-        # heavy absorption keeps the cap-12 tails near 2^-12 while the
-        # corruption moves mass at order one; a fixed short cap matters
+        # an off-by-one erasure keeps the revisited state twice; the laws
+        # split.  Heavy absorption keeps the cap-12 tails near 2^-12 while
+        # the corruption moves mass at order one; a fixed short cap matters
         # because the corrupted step never truncates, so its state space
-        # grows with the horizon and tol-driven cap sizing is off limits
+        # grows with the horizon and a tol call hits the tower guard
         t = Fraction(1, 12)
         ch = build_chain(
             list("abcd"),
@@ -358,6 +369,63 @@ class TestEnumerate:
         assert law_d.mode == "double"
         for path, mass in law_r.atoms.items():
             assert abs(law_d.mass(path) - float(mass)) < 1e-12
+
+
+class TestExactElimination:
+    """tol laws of pipelines ending in the full set: tower chain eliminated exactly."""
+
+    def test_exact_laws_fuzz(self):
+        rng = Random(61)
+        tol = Fraction(1, 10**9)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            ch = dense_chain(rng, n)
+            states = ch.states
+            pipes = list(nested_sequences(states, 2)) + list(nested_sequences(states, 3))
+            for r in range(1, n):
+                for a in map(frozenset, combinations(states, r)):
+                    start = rng.choice([s for s in states if s not in a])
+                    le = enumerate_erasure_law(ch, start, a, "LE", tol=tol)
+                    assert le.tail_bound == 0 and le.total() == 1
+                    assert set(le.atoms) == set(all_simple_absorbed_paths(ch, start, a))
+                    for w, mass in le.atoms.items():
+                        assert mass == le_path_probability(ch, a, w)
+                    for pipe in rng.sample(pipes, 3):
+                        law = enumerate_erasure_law(ch, start, a, list(pipe), tol=tol)
+                        assert law.tail_bound == 0
+                        assert law.atoms == le.atoms, (sorted(a), pipe)
+                    double = enumerate_erasure_law(ch.as_double(), start, a, "LE", tol=1e-9)
+                    assert double.mode == "double" and double.tail_bound == 0
+                    assert set(double.atoms) == set(le.atoms)
+                    for w, mass in le.atoms.items():
+                        assert abs(double.atoms[w] / float(mass) - 1) <= 1e-12
+                    checked += 1
+        assert checked > 200
+
+    def test_partial_last_stage_still_time_steps(self):
+        # the last stage keeps its literal path of unretained states, so
+        # the tower space is unbounded and the tail stays certified, not 0
+        ch = dense_chain(Random(7), 3)
+        law = enumerate_erasure_law(ch, "a", {"c"}, [frozenset({"a"})], tol=1e-3)
+        assert 0 < law.tail_bound <= Fraction(1, 1000)
+        assert law.total() + law.tail_bound == 1
+
+    def test_dirac_under_tol(self):
+        law = enumerate_erasure_law(escape_chain(), "c", {"c"}, "LE", tol=Fraction(1, 10**9))
+        assert law.atoms == {("c",): 1} and law.tail_bound == 0
+
+    def test_tol_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            enumerate_erasure_law(escape_chain(), "a", {"c"}, "LE", tol=0)
+
+    def test_tower_guard(self):
+        # the broken step never cuts a path short, so its tower chain is
+        # infinite; the breadth-first build must stop at the guard
+        ch = dense_chain(Random(5), 4)
+        pipe = [frozenset("ab"), frozenset(ch.states)]
+        with pytest.raises(GuardError, match=f"{TOWER_GUARD} towers"):
+            enumerate_erasure_law(ch, "a", {"d"}, pipe, tol=Fraction(1, 10**9), step_fn=bad_step)
 
 
 class TestPathLawType:
@@ -433,6 +501,15 @@ class TestTracedKernel:
             for x in sub:
                 for y in sub:
                     assert weights[x] * t.transition(x, y) == weights[y] * t.transition(y, x)
+
+    def test_one_shot_subset(self):
+        ch = named_chain(Random(1), 4, 12)
+        for variant in ("hitting-set", "exclude-current"):
+            t = traced_kernel(ch, iter(["s0", "s1", "s2"]), (), variant)
+            assert t.states == ("s0", "s1", "s2")
+            assert t == traced_kernel(ch, {"s0", "s1", "s2"}, (), variant)
+        with pytest.raises(ValueError, match="unknown"):
+            traced_kernel(ch, (s for s in ["s9", "s0"]))
 
     def test_no_killing_variant(self):
         t = traced_kernel(cycle_chain(), {"a", "c"}, (), "exclude-current")
