@@ -10,9 +10,11 @@ erasure state of the whole pipeline (a sufficient statistic for its
 output).  With tol given and a last stage retaining every non-absorbing
 state, the tower chain is finite and is eliminated exactly by
 Grassmann–Taksar–Heyman state reduction on integer weights: the law is
-exact and its tail bound 0.  Otherwise mass is stepped forward in time
-and the tail bound is the certified unabsorbed mass.  The slow
-per-trajectory recursion is kept alongside as a cross-check.
+exact and its tail bound 0 (a double kernel's entries are dyadic
+rationals, so double mode eliminates them exactly too and rounds each
+atom once).  Otherwise mass is stepped forward in time and the tail
+bound is the certified unabsorbed mass.  The slow per-trajectory
+recursion is kept alongside as a cross-check.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from .erasure import fold_step
 
 DELTA = "Δ"  # absorbing sink label used by traced kernels
 ENUM_STATE_GUARD = 8  # most chain states an enumeration accepts
-TOWER_GUARD = 50_000  # most towers one enumeration may intern
+# Most towers an exact elimination may build.  The complete 8-state
+# digraph with one absorbing state is the worst support: "LE" needs 1,957
+# towers, the largest two-stage pipeline 717,169 (solved in 57 s at
+# 1.3 GB) and three-stage pipelines with the start in the first stage at
+# most 334,502; 24 of the 30 three-stage classes whose first stage misses
+# the start need more than a million and raise GuardError.
+TOWER_GUARD = 1_000_000
 
 
 class GuardError(RuntimeError):
@@ -315,7 +323,7 @@ def _tower_final(state, depth: int) -> tuple:
     return state
 
 
-def _eliminate(out: list, sinks: list, start: int, rational: bool) -> dict:
+def _eliminate(out: list, sinks: list, start: int) -> dict:
     """Absorption weights of the start tower, by GTH state reduction.
 
     out[i] maps the towers that tower i moves to, and sinks[i] the final
@@ -325,8 +333,8 @@ def _eliminate(out: list, sinks: list, start: int, rational: bool) -> dict:
     T_s * row_i + w_is * row_s, where T_s is the total weight of s's row,
     and drops the self-loops this creates: rows need only be proportional
     to the exit probabilities, so nothing is ever subtracted.  Each
-    changed row is divided by its gcd (rescaled to total 1 in double
-    mode).  Returns the start's sink weights, proportional to the law.
+    changed row is divided by its gcd.  Returns the start's sink
+    weights, proportional to the law.
     """
     preds = [set() for _ in out]
     for i, row in enumerate(out):
@@ -363,17 +371,11 @@ def _eliminate(out: list, sinks: list, start: int, rational: bool) -> dict:
             for k in out_s:
                 if k != i:
                     preds[k].add(i)
-            if rational:
-                g = math.gcd(*out_i.values(), *sinks_i.values())
-                if g > 1:
-                    for row_i in (out_i, sinks_i):
-                        for k in row_i:
-                            row_i[k] //= g
-            else:
-                t = sum(out_i.values()) + sum(sinks_i.values())
+            g = math.gcd(*out_i.values(), *sinks_i.values())
+            if g > 1:
                 for row_i in (out_i, sinks_i):
                     for k in row_i:
-                        row_i[k] /= t
+                        row_i[k] //= g
         for t in (preds[s] | out_s.keys()) & live:
             heapq.heappush(heap, (cost(t), t))
     return sinks[start]
@@ -399,11 +401,14 @@ def enumerate_erasure_law(
     towers reachable from the start are finitely many.  The tower chain
     is then built by breadth-first search and eliminated exactly
     (`_eliminate`), so the law is exact and tail_bound is 0 whatever
-    tol is.  Otherwise the mass is stepped forward one walk step at a
-    time: for length_cap steps when tol is None, else until the mass
-    still unabsorbed is at most tol.  tail_bound is that unabsorbed mass,
-    a certified bound on what the atoms miss.  Interning more than
-    TOWER_GUARD towers raises GuardError.
+    tol is.  Double mode runs the same integer elimination on the exact
+    values of its float kernel and rounds each atom once, so laws that
+    agree in exact arithmetic agree bit for bit.  A tower chain of more
+    than TOWER_GUARD towers raises GuardError.  Otherwise the mass is
+    stepped forward one walk step at a time: for length_cap steps when
+    tol is None, else until the mass still unabsorbed is at most tol.
+    tail_bound is that unabsorbed mass, a certified bound on what the
+    atoms miss.
 
     step_fn overrides the innermost erasure fold step; it exists so
     negative controls can inject a broken erasure.  Leave it None.
@@ -432,17 +437,21 @@ def enumerate_erasure_law(
         zero = Fraction(0) if rational else 0.0
         return PathLaw({(start,): one}, zero, chain.mode)
 
-    if rational:
+    states = chain.states
+    last = stages[-1]
+    solve = tol is not None and (last is None or last >= frozenset(states) - a)
+    if rational or solve:
         # integer weights: the kernel times the lcm of its denominators
-        denom = math.lcm(*[p.denominator for row in chain.kernel for p in row])
+        # (Fraction of a float is its exact dyadic value)
+        kernel = chain.kernel if rational else [[Fraction(p) for p in row] for row in chain.kernel]
+        denom = math.lcm(*[p.denominator for row in kernel for p in row])
         moves = [
             [(j, p.numerator * (denom // p.denominator)) for j, p in enumerate(row) if p]
-            for row in chain.kernel
+            for row in kernel
         ]
     else:
         denom = 1.0
         moves = [[(j, float(p)) for j, p in enumerate(row) if p > 0] for row in chain.kernel]
-    states = chain.states
     in_a = [s in a for s in states]
     sidx = {s: i for i, s in enumerate(states)}
 
@@ -457,8 +466,6 @@ def enumerate_erasure_law(
         sid = ids.get(tw)
         if sid is None:
             sid = len(towers)
-            if sid == TOWER_GUARD:
-                raise GuardError(f"tower chain exceeds {TOWER_GUARD} towers")
             ids[tw] = sid
             towers.append(tw)
         return sid
@@ -478,18 +485,20 @@ def enumerate_erasure_law(
         return nxt, ends
 
     origin = intern(_tower_init(start, stages, step))
-    last = stages[-1]
-    if tol is not None and (last is None or last >= frozenset(states) - a):
+    if solve:
         out, sinks = [], []
         while len(out) < len(towers):  # breadth-first: expand interns in order
+            if len(towers) > TOWER_GUARD:
+                raise GuardError(f"tower chain exceeds {TOWER_GUARD} towers")
             nxt, ends = expand(len(out))
             out.append(nxt)
             sinks.append(ends)
-        weights = _eliminate(out, sinks, origin, rational)
+        weights = _eliminate(out, sinks, origin)
         total = sum(weights.values())
         if rational:
             atoms = {p: Fraction(w, total) for p, w in weights.items()}
             return PathLaw(atoms, Fraction(0), chain.mode)
+        # int / int is correctly rounded
         return PathLaw({p: w / total for p, w in weights.items()}, 0.0, chain.mode)
 
     # Time-stepping; rational masses are integers over a running power of denom.

@@ -3,9 +3,11 @@
 import csv
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from lerw.chain import chain_to_text, dense_chain
 from lerw.cli import main
 from lerw.exactlaw import law_from_text
 from lerw.fractal import standard_carpet, template_to_text
@@ -199,6 +201,20 @@ class TestVerifyTheorem1:
         assert summary["pass"] is True
         assert summary["results"]["cases_checked"] == 60
         assert summary["results"]["worst_tv_minus_bound"] <= 0
+
+    def test_double_chain_file_passes(self, tmp_path):
+        # a decimal chain file is a double-mode chain; its LE and pipeline
+        # laws come from different tower chains yet must agree bit for bit
+        chain_file = tmp_path / "chain.txt"
+        chain_file.write_text(chain_to_text(dense_chain(Random(3), 5).as_double()))
+        code = main(
+            ["verify-theorem1", "--chain", str(chain_file), "--seed", "3",
+             "--max-cases", "80", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        summary = read_json(tmp_path / "verify_theorem1.json")
+        assert summary["results"]["cases_checked"] == 80
+        assert summary["results"]["worst_tv_minus_bound"] == 0
 
     def test_fuzzed_chains_pass(self, tmp_path):
         code = main(

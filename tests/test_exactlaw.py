@@ -7,13 +7,13 @@ from random import Random
 import numpy as np
 import pytest
 
+from lerw import exactlaw
 from lerw._exact import SingularSystemError
 from lerw.chain import build_chain, dense_chain as named_chain, reachability_closure
 from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.exactlaw import (
     DELTA,
     GuardError,
-    TOWER_GUARD,
     PathLaw,
     enumerate_erasure_law,
     enumerate_trajectories,
@@ -391,7 +391,8 @@ class TestExactElimination:
                     assert set(le.atoms) == set(all_simple_absorbed_paths(ch, start, a))
                     for w, mass in le.atoms.items():
                         assert mass == le_path_probability(ch, a, w)
-                    for pipe in rng.sample(pipes, 3):
+                    sample = rng.sample(pipes, 3)
+                    for pipe in sample:
                         law = enumerate_erasure_law(ch, start, a, list(pipe), tol=tol)
                         assert law.tail_bound == 0
                         assert law.atoms == le.atoms, (sorted(a), pipe)
@@ -400,6 +401,10 @@ class TestExactElimination:
                     assert set(double.atoms) == set(le.atoms)
                     for w, mass in le.atoms.items():
                         assert abs(double.atoms[w] / float(mass) - 1) <= 1e-12
+                    # each double atom is rounded once from the exact law, so
+                    # a pipeline law equal in exact arithmetic is equal bit for bit
+                    nested = enumerate_erasure_law(ch.as_double(), start, a, list(sample[0]), tol=1e-9)
+                    assert nested.atoms == double.atoms and tv_distance(nested, double) == 0
                     checked += 1
         assert checked > 200
 
@@ -419,13 +424,19 @@ class TestExactElimination:
         with pytest.raises(ValueError, match="positive"):
             enumerate_erasure_law(escape_chain(), "a", {"c"}, "LE", tol=0)
 
-    def test_tower_guard(self):
+    def test_tower_guard(self, monkeypatch):
         # the broken step never cuts a path short, so its tower chain is
-        # infinite; the breadth-first build must stop at the guard
+        # infinite; the breadth-first build must stop at the guard (set
+        # low here so the test does not build a million towers first)
+        monkeypatch.setattr(exactlaw, "TOWER_GUARD", 50)
         ch = dense_chain(Random(5), 4)
         pipe = [frozenset("ab"), frozenset(ch.states)]
-        with pytest.raises(GuardError, match=f"{TOWER_GUARD} towers"):
+        with pytest.raises(GuardError, match="50 towers"):
             enumerate_erasure_law(ch, "a", {"d"}, pipe, tol=Fraction(1, 10**9), step_fn=bad_step)
+        # the guard bounds the elimination only: the cap-12 time-stepping
+        # of the same broken step interns 91 towers and still returns
+        capped = enumerate_erasure_law(ch, "a", {"d"}, pipe, length_cap=12, step_fn=bad_step)
+        assert capped.tail_bound > 0
 
 
 class TestPathLawType:
