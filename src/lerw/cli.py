@@ -32,7 +32,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from random import Random
 
-from .chain import STEP_CAP, MarkovChain, StepCapExceeded, build_chain, chain_from_text, dense_chain, reachability_closure
+from .chain import STEP_CAP, MarkovChain, StepCapExceeded, _entry_tables, build_chain, chain_from_text, dense_chain
 from .erasure import fold_step
 from .exactlaw import (
     GuardError,
@@ -728,7 +728,7 @@ def _equality_cases(chain: MarkovChain, rng: Random, max_cases: int) -> list:
     for r in range(1, len(states)):
         for a in combinations(states, r):
             a = frozenset(a)
-            closure = reachability_closure(chain, a)
+            closure = _entry_tables(chain, a)[0]
             for x in states:
                 if x in a or x not in closure:
                     continue

@@ -7,11 +7,16 @@ final state is reached.  Partial loop erasure does the same but only
 erases loops based at a retained set of states; everything else is
 copied through untouched.
 
-Two implementations are kept for each operation.  The naive ones follow
-the defining index recursion literally, rescanning the remainder of the
-path at every step (O(eta^2)).  The fast ones run a single left-to-right
-pass with a position table (amortized O(eta)).  Tests pin them to each
-other on fuzzed inputs; the naive versions are the reference.
+Two implementations are kept for each operation.  Both follow the
+defining index recursion: from the current index, jump past the last
+visit to its state (erasable states) or step to the next index (others).
+The naive ones find each last visit by rescanning the remainder of the
+path (O(eta^2)).  The fast ones read it from a last-visit table built
+once, dict(zip(w, range(len(w)))), in which later positions overwrite
+earlier ones; the chase then costs one table lookup per surviving
+index, so its Python work scales with the output, not the input.  Tests
+pin them to each other on fuzzed inputs and long graph walks; the naive
+versions are the reference.
 """
 
 from __future__ import annotations
@@ -79,24 +84,16 @@ def partial_loop_erase_naive(w: Sequence, retained: Iterable) -> ErasureResult:
 
 
 def loop_erase(w: Sequence) -> ErasureResult:
-    """Loop erasure, single pass with a position table."""
+    """Loop erasure, a pointer chase over the last-visit table."""
     w = _as_path(w)
-    out: list = []
-    idx: list = []
-    pos: dict = {}
-    for t, y in enumerate(w):
-        if y in pos:
-            # revisit: drop everything after the earlier copy
-            k = pos[y]
-            for dropped in out[k + 1:]:
-                del pos[dropped]
-            del out[k + 1:]
-            del idx[k + 1:]
-        else:
-            pos[y] = len(out)
-            out.append(y)
-            idx.append(t)
-    return ErasureResult(tuple(out), tuple(idx))
+    last = dict(zip(w, range(len(w))))  # later visits overwrite earlier ones
+    eta = len(w) - 1
+    indices = [0]
+    nxt = last[w[0]]
+    while nxt != eta:
+        indices.append(nxt + 1)
+        nxt = last[w[nxt + 1]]
+    return ErasureResult(tuple(map(w.__getitem__, indices)), tuple(indices))
 
 
 def fold_step(prefix: tuple, y, retained) -> tuple:
@@ -120,8 +117,9 @@ def erase_step(prefix: tuple, indices: tuple, t: int, y, retained: frozenset | N
     prefix/indices are the erasure of the input consumed so far, y is the
     next state with input position t.  Returns the new (prefix, indices)
     pair.  Folding this step over a path reproduces loop_erase /
-    partial_loop_erase, which the tests check; the samplers call the
-    erasures directly.
+    partial_loop_erase, which the tests check.  The samplers do not fold:
+    they call those two erasures, which chase last visits through the
+    whole path at once.
     """
     out = fold_step(prefix, y, retained)
     if len(out) > len(prefix):
@@ -130,31 +128,27 @@ def erase_step(prefix: tuple, indices: tuple, t: int, y, retained: frozenset | N
 
 
 def partial_loop_erase(w: Sequence, retained: Iterable) -> ErasureResult:
-    """Partial loop erasure, single pass.
+    """Partial loop erasure, a pointer chase over the last-visit table.
 
-    States in `retained` appear at most once in the output, so the popped
-    suffix on a revisit is found through a position table; unretained
-    states are appended unconditionally.
+    At a retained state the chase jumps past that state's last visit; at
+    any other state it steps to the next index.  It stops at the final
+    index, or at a retained state whose last visit is the final index.
     """
     w = _as_path(w)
     retained = frozenset(retained)
-    out: list = []
-    idx: list = []
-    pos: dict = {}  # positions of retained states currently in out
-    for t, y in enumerate(w):
+    last = dict(zip(w, range(len(w))))  # later visits overwrite earlier ones
+    eta = len(w) - 1
+    indices = [0]
+    i = 0
+    while True:
+        y = w[i]
         if y in retained:
-            k = pos.get(y)
-            if k is not None:
-                for dropped in out[k + 1:]:
-                    if dropped in retained:
-                        del pos[dropped]
-                del out[k + 1:]
-                del idx[k + 1:]
-                continue
-            pos[y] = len(out)
-        out.append(y)
-        idx.append(t)
-    return ErasureResult(tuple(out), tuple(idx))
+            i = last[y]
+        if i == eta:
+            break
+        i += 1
+        indices.append(i)
+    return ErasureResult(tuple(map(w.__getitem__, indices)), tuple(indices))
 
 
 def refinement_erase(w: Sequence, levels: Sequence[Iterable]) -> tuple[ErasureResult, ...]:

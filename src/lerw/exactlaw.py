@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._exact import SingularSystemError, solve_double, solve_fraction
-from .chain import MarkovChain, reachability_closure
+from .chain import MarkovChain, _entry_tables
 from .erasure import fold_step
 
 DELTA = "Δ"  # absorbing sink label used by traced kernels
@@ -84,7 +84,7 @@ def green(chain: MarkovChain, domain: Iterable) -> GreenTable:
     if len(dom) == len(chain.states):
         raise ValueError("domain must be a strict subset of the state space")
     outside = frozenset(chain.states) - frozenset(dom)
-    closure = reachability_closure(chain, outside)
+    closure = _entry_tables(chain, outside)[0]
     stuck = [s for s in dom if s not in closure]
     if stuck:
         raise SingularSystemError(
@@ -420,7 +420,7 @@ def enumerate_erasure_law(
         raise ValueError("absorbing set leaves the state space")
     if chain.n > ENUM_STATE_GUARD:
         raise GuardError(f"enumeration is guarded to {ENUM_STATE_GUARD} states")
-    closure = reachability_closure(chain, a)
+    closure = _entry_tables(chain, a)[0]
     if start not in closure:
         raise ValueError(f"entry into the absorbing set is not almost sure from {start!r}")
     stages = _normalize_pipeline(chain, pipeline)
@@ -647,15 +647,11 @@ def traced_kernel(
     zero = Fraction(0) if rational else 0.0
     one = Fraction(1) if rational else 1.0
 
-    def absorb_closure(targets: frozenset):
-        closure = reachability_closure(chain, targets | a)
-        return closure
-
     out_states = list(sub) + ([DELTA] if a else [])
     rows = []
     if variant == "hitting-set":
         targets = frozenset(sub)
-        closure = absorb_closure(targets)
+        closure = _entry_tables(chain, targets | a)[0]
         missing = [s for s in sub if s not in closure]
         if missing:
             raise ValueError(
@@ -686,7 +682,7 @@ def traced_kernel(
             targets = frozenset(sub) - {x}
             if not targets and not a:
                 raise ValueError("exclude-current needs a second subset state or killing")
-            closure = absorb_closure(targets)
+            closure = _entry_tables(chain, targets | a)[0]
             if x not in closure:
                 raise ValueError(f"observation is not almost sure from {x!r}")
             interior, irows = _absorption_matrix(chain, targets, a)

@@ -268,12 +268,18 @@ def coupled_refinement_distance(
     xy = to_xy(g)
     dists = np.empty(num_samples)
     for i in range(num_samples):
-        stage = partial_loop_erase(tuple(walk(i)), retained).path
+        stage = partial_loop_erase(walk(i), retained).path
         final = loop_erase(stage).path
-        pa = xy[sorted(set(stage))]
-        pb = xy[sorted(set(final))]
+        # final is a subsequence of stage: only stage points off final
+        # can be far from the other set
+        off = set(stage).difference(final)
+        if not off:
+            dists[i] = 0.0
+            continue
+        pa = xy[sorted(off)]
+        pb = xy[list(final)]
         d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
-        dists[i] = float(max(d2.min(1).max(), d2.min(0).max())) ** 0.5
+        dists[i] = float(d2.min(1).max()) ** 0.5
     qs = np.quantile(dists, [0.5, 0.9])
     return {
         "n": num_samples,

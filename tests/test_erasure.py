@@ -20,6 +20,8 @@ from lerw.erasure import (
     refinement_erase,
     reverse_path,
 )
+from lerw.fractal import carpet_graph, corner_indices, standard_carpet
+from lerw.limits import WalkConfig, _graph_walker
 
 W = ("a", "b", "c", "d", "b", "e", "d")
 
@@ -97,6 +99,22 @@ def test_fast_le_matches_naive(w):
 @given(paths, small_sets)
 def test_fast_ple_matches_naive(w, retained):
     assert partial_loop_erase(w, retained) == partial_loop_erase_naive(w, retained)
+
+
+def test_fast_matches_naive_on_long_graph_walks():
+    # real carpet walks of hundreds to thousands of steps revisit each
+    # state many times, far beyond the fuzzed paths above
+    g = carpet_graph(standard_carpet(), 2)
+    c = corner_indices(g)
+    walk, _ = _graph_walker(WalkConfig(g, 5), c[0], [c[3]])
+    lengths = []
+    for i in range(50):
+        w = walk(i)
+        lengths.append(len(w))
+        assert loop_erase(w) == loop_erase_naive(w), i
+        for retained in (g.nested[0], g.nested[1]):
+            assert partial_loop_erase(w, retained) == partial_loop_erase_naive(w, retained), i
+    assert min(lengths) < 100 and max(lengths) > 1000
 
 
 @settings(max_examples=300)

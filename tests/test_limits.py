@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from lerw.chain import StepCapExceeded, sample_until_entry, trajectory_stream
+from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.fractal import (
     FractalGraph,
     carpet_graph,
     corner_indices,
     gasket_graph,
     standard_carpet,
+    to_xy,
     uniform_network,
 )
 from lerw.limits import (
@@ -316,6 +318,22 @@ class TestCoupledRefinement:
             )
             medians.append(st["median"])
         assert medians[1] < medians[0]
+
+    def test_one_sided_distance_is_the_hausdorff_distance(self):
+        # the final erasure is a subsequence of the stage path, so the
+        # one-sided gap the function computes is the full Hausdorff distance
+        g = carpet_graph(standard_carpet(), 2)
+        c = corner_indices(g)
+        config = WalkConfig(g, 13)
+        st = coupled_refinement_distance(config, 1, c[0], [c[3]], 200)
+        walk, _ = _graph_walker(config, c[0], [c[3]])
+        xy = to_xy(g)
+        for i in range(200):
+            stage = partial_loop_erase(walk(i), g.nested[1]).path
+            final = loop_erase(stage).path
+            expected = hausdorff(xy[sorted(set(stage))], xy[sorted(set(final))])
+            assert st["distances"][i] == expected, i
+        assert st["max"] > 0
 
     def test_stage_out_of_range(self):
         g = gasket_graph(1)
