@@ -1,10 +1,10 @@
-"""Exact and checked linear solves shared by the two numeric modes.
+"""Exact and checked linear solves.
 
 `solve_fraction` is dense Gauss-Jordan elimination over Fraction, for
-the small chain systems of `exactlaw`. `solve_double` solves in float64,
-and every float solve in the package (here and the sparse network
-solves) passes its result through `check_residual`, since downstream
-quantities (Green values, resistances) are compared at tight tolerances.
+`exactlaw.green` (in both numeric modes) and the tests' references.
+Every float solve in the package (the sparse network solves) passes its
+result through `check_residual`, since downstream quantities
+(resistances, hitting laws) are compared at tight tolerances.
 """
 
 from __future__ import annotations
@@ -67,15 +67,3 @@ def check_residual(a, x, b) -> None:
     resid = float(abs(a @ x - b).max() / scale) if scale else 0.0
     if not np.isfinite(resid) or resid > RESIDUAL_TOL:
         raise SingularSystemError(f"residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")
-
-
-def solve_double(a, b):
-    """Solve a x = b in float64 and insist on a small backward error."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    check_residual(a, x, b)
-    return x

@@ -43,9 +43,7 @@ from .exactlaw import (
     tv_distance,
 )
 from .fractal import (
-    carpet_graph,
     corner_indices,
-    gasket_graph,
     graph_to_text,
     standard_carpet,
     template_from_text,
@@ -53,6 +51,7 @@ from .fractal import (
 )
 from .limits import (
     WalkConfig,
+    _family_graph,
     coupled_refinement_distance,
     kernel_convergence,
     lerw_set_law,
@@ -286,15 +285,15 @@ def _finish(
 # ---------------------------------------------------------------------------
 # Graph selection helpers
 
-def _graph_from_cfg(cfg: dict, level: int):
+def _family(cfg: dict) -> tuple:
+    """(kind, template) of the graph family chosen by --gasket or --carpet."""
     wants_gasket = bool(cfg.get("gasket"))
     carpet = cfg.get("carpet")
     if wants_gasket == (carpet is not None):
         raise UsageError("choose exactly one of --gasket or --carpet")
     if wants_gasket:
-        return gasket_graph(level), None
-    template = _template(carpet)
-    return carpet_graph(template, level), template
+        return "gasket", None
+    return "carpet", _template(carpet)
 
 
 def _template(spec: str):
@@ -394,7 +393,8 @@ def _parse_pipeline_levels(spec, graph):
 def _cmd_graph(cfg: dict) -> int:
     out = _out_dir(cfg)
     level = _parse_level(cfg)
-    graph, _ = _graph_from_cfg(cfg, level)
+    kind, template = _family(cfg)
+    graph = _family_graph(kind, level, template)
     vtext, etext = graph_to_text(graph)
     (out / "graph_vertices.txt").write_text(vtext)
     (out / "graph_edges.txt").write_text(etext)
@@ -434,12 +434,7 @@ def _parse_pairs(spec) -> list | None:
 def _cmd_resist(cfg: dict) -> int:
     out = _out_dir(cfg)
     levels = _parse_level_range(cfg.get("m"))
-    wants_gasket = bool(cfg.get("gasket"))
-    carpet = cfg.get("carpet")
-    if wants_gasket == (carpet is not None):
-        raise UsageError("choose exactly one of --gasket or --carpet")
-    kind = "gasket" if wants_gasket else "carpet"
-    template = None if wants_gasket else _template(carpet)
+    kind, template = _family(cfg)
     band = cfg.get("band")
     res = resistance_scaling(
         kind,
@@ -514,12 +509,7 @@ def _cmd_converge(cfg: dict) -> int:
 def _converge_kernel(cfg: dict, out: Path) -> int:
     m = _parse_level(cfg)
     m_primes = _parse_level_range(cfg.get("m_primes"))
-    wants_gasket = bool(cfg.get("gasket"))
-    carpet = cfg.get("carpet")
-    if wants_gasket == (carpet is not None):
-        raise UsageError("choose exactly one of --gasket or --carpet")
-    kind = "gasket" if wants_gasket else "carpet"
-    template = None if wants_gasket else _template(carpet)
+    kind, template = _family(cfg)
     res = kernel_convergence(kind, m, int(cfg["corner"]), m_primes, template=template)
     h = _config_hash(cfg)
     diff_rows = [[d["pair"][0], d["pair"][1], repr(d["max_diff"])] for d in res["diffs"]]
@@ -581,10 +571,11 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
     pairs = _parse_level_pairs(cfg.get("pairs"))
     seed = _resolve_seed(cfg, announce=True)
     n = int(cfg["n"])
+    kind, template = _family(cfg)
     rows = []
     medians = []
     for stage, level in pairs:
-        graph, _ = _graph_from_cfg(cfg, level)
+        graph = _family_graph(kind, level, template)
         x = _corner_vertex(cfg.get("start") or "q1", graph)
         targets = _target_vertices(cfg.get("to") or "q2", graph)
         stats = coupled_refinement_distance(
@@ -626,7 +617,8 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
 def _cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     level = _parse_level(cfg)
-    graph, _ = _graph_from_cfg(cfg, level)
+    kind, template = _family(cfg)
+    graph = _family_graph(kind, level, template)
     seed = _resolve_seed(cfg, announce=True)
     x = _corner_vertex(cfg.get("start") or "q1", graph)
     targets = _target_vertices(cfg.get("to"), graph)

@@ -5,16 +5,21 @@ mode no floating point enters: Green values, path probabilities and the
 enumerated laws are Fractions, so equalities between laws can be asserted
 with == rather than tolerances.
 
+One exact reduction serves every job: Grassmann–Taksar–Heyman state
+reduction (`_eliminate`) of integer weights onto a kept set.  The chain
+reduced onto a subset (`_reduce`) gives the traced kernels, and reduced
+onto one state the Green diagonals; the full Green table (`green`) is
+the one dense exact solve.  A double kernel's entries are dyadic
+rationals, so double mode runs the same exact arithmetic on them and
+rounds each result once.
+
 Erased-walk laws aggregate trajectories by their "tower", the running
 erasure state of the whole pipeline (a sufficient statistic for its
 output).  With tol given and a last stage retaining every non-absorbing
-state, the tower chain is finite and is eliminated exactly by
-Grassmann–Taksar–Heyman state reduction on integer weights: the law is
-exact and its tail bound 0 (a double kernel's entries are dyadic
-rationals, so double mode eliminates them exactly too and rounds each
-atom once).  Otherwise mass is stepped forward in time and the tail
-bound is the certified unabsorbed mass.  The slow per-trajectory
-recursion is kept alongside as a cross-check.
+state, the tower chain is finite and is reduced onto its start tower:
+the law is exact and its tail bound 0.  Otherwise mass is stepped
+forward in time and the tail bound is the certified unabsorbed mass.
+The slow per-trajectory recursion is kept alongside as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from ._exact import SingularSystemError, solve_double, solve_fraction
+from ._exact import SingularSystemError, solve_fraction
 from .chain import MarkovChain, _entry_tables
 from .erasure import fold_step
 
@@ -44,6 +47,127 @@ TOWER_GUARD = 1_000_000
 
 class GuardError(RuntimeError):
     """A guarded computation exceeded its configured budget."""
+
+
+# ---------------------------------------------------------------------------
+# Exact reduction of a chain onto a kept set
+
+
+def _integer_moves(chain: MarkovChain) -> tuple:
+    """(denom, moves), cached on the chain: moves[i] lists (j, w) for the
+    positive entries of row i, each w the entry times denom, the lcm of
+    the kernel's denominators.
+
+    A double kernel's entries are read at their exact dyadic values, so
+    the weights are exact in both modes; a double row's weights need not
+    sum to denom.
+    """
+    cached = getattr(chain, "_integer_moves", None)
+    if cached is None:
+        kernel = [[Fraction(p) for p in row] for row in chain.kernel]
+        denom = math.lcm(*[p.denominator for row in kernel for p in row])
+        moves = [
+            [(j, p.numerator * (denom // p.denominator)) for j, p in enumerate(row) if p]
+            for row in kernel
+        ]
+        cached = (denom, moves)
+        object.__setattr__(chain, "_integer_moves", cached)
+    return cached
+
+
+def _eliminate(out: list, sinks: list, keep: set) -> None:
+    """Reduce a weighted chain onto the rows in keep, by GTH state reduction.
+
+    out[i] maps the rows that row i moves to, and sinks[i] the sinks it
+    can end on, to positive weights.  Every other row is eliminated and
+    consumed, fewest in-edges times out-edges first (ties by id).
+    Eliminating s rewrites each predecessor row as T_s * row_i + w_is *
+    row_s, where T_s is the total weight of s's row.  Rows need only be
+    proportional to the exit probabilities, so nothing is ever subtracted
+    and the self-loops of rows still to be eliminated are dropped.  Each
+    changed row is divided by its gcd.  Kept rows keep their self-loops:
+    on return, out[k] and sinks[k] for k in keep are proportional to
+    where the chain from k is first seen again in keep (at time >= 1), or
+    to the sink it ends on first.
+    """
+    preds = [set() for _ in out]
+    for i, row in enumerate(out):
+        if i not in keep:
+            row.pop(i, None)
+        for k in row:
+            preds[k].add(i)
+    live = set(range(len(out))) - keep
+
+    def cost(t: int) -> int:
+        return len(preds[t]) * (len(out[t]) + len(sinks[t]))
+
+    heap = [(cost(t), t) for t in live]  # stale entries are skipped
+    heapq.heapify(heap)
+    while heap:
+        c, s = heapq.heappop(heap)
+        if s not in live or c != cost(s):
+            continue
+        live.discard(s)
+        out_s, sinks_s = out[s], sinks[s]
+        out[s] = sinks[s] = None
+        total = sum(out_s.values()) + sum(sinks_s.values())
+        for k in out_s:
+            preds[k].discard(s)
+        for i in preds[s]:
+            out_i, sinks_i = out[i], sinks[i]
+            w = out_i.pop(s)
+            for row_i, row_s in ((out_i, out_s), (sinks_i, sinks_s)):
+                for k in row_i:
+                    row_i[k] *= total
+                for k, v in row_s.items():
+                    row_i[k] = row_i.get(k, 0) + w * v
+            if i not in keep:
+                out_i.pop(i, None)
+            for k in out_s:
+                if k != i:
+                    preds[k].add(i)
+            g = math.gcd(*out_i.values(), *sinks_i.values())
+            if g > 1:
+                for row_i in (out_i, sinks_i):
+                    for k in row_i:
+                        row_i[k] //= g
+        for t in (preds[s] | out_s.keys()) & live:
+            heapq.heappush(heap, (cost(t), t))
+
+
+def _reduce(chain: MarkovChain, keep: Sequence, absorbing: frozenset) -> list:
+    """The chain's integer weights reduced onto the states `keep`.
+
+    Returns one (row, dead) pair per kept state, in keep's order: row maps
+    positions in keep to weights and dead weighs entry into `absorbing`.
+    Each pair is proportional to where the walk from that state is first
+    seen, at time >= 1, in keep or in the absorbing set.  Only the states
+    reachable from keep without entering `absorbing` are built; if that
+    observation is not almost sure from one of them, ValueError.
+    """
+    states = chain.states
+    moves = _integer_moves(chain)[1]
+    closure = _entry_tables(chain, frozenset(keep) | absorbing)[0]
+    pos = {chain.index(s): k for k, s in enumerate(keep)}
+    order = list(pos)
+    out, sinks = [], []
+    while len(out) < len(order):  # breadth-first: rows in the order states are met
+        row, dead = {}, 0
+        for j, w in moves[order[len(out)]]:
+            if states[j] in absorbing:
+                dead += w
+                continue
+            k = pos.get(j)
+            if k is None:
+                if states[j] not in closure:
+                    raise ValueError(f"observation can stall via {states[j]!r}")
+                k = pos[j] = len(order)
+                order.append(j)
+            row[k] = w
+        out.append(row)
+        sinks.append({DELTA: dead} if dead else {})
+    _eliminate(out, sinks, set(range(len(keep))))
+    return [(out[k], sinks[k].get(DELTA, 0)) for k in range(len(keep))]
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +200,10 @@ def green(chain: MarkovChain, domain: Iterable) -> GreenTable:
 
     Requires exit from the domain to be almost sure from each of its
     states; otherwise the system is singular and an error is raised.
+    The table is one exact dense solve.  Each row is the chain's integer
+    weights over their own total, so a double kernel is read at its exact
+    values; double mode rounds each exact value once and agrees bit for
+    bit with `green_diagonal`.
     """
     domain = frozenset(domain)
     dom = [s for s in chain.states if s in domain]
@@ -91,44 +219,43 @@ def green(chain: MarkovChain, domain: Iterable) -> GreenTable:
             f"exit from the domain is not almost sure from {sorted(map(str, stuck))}"
         )
     k = len(dom)
-    idx = [chain.index(s) for s in dom]
-    q = [[chain.kernel[i][j] for j in idx] for i in idx]
+    col = {chain.index(s): c for c, s in enumerate(dom)}
+    moves = _integer_moves(chain)[1]
+    eye = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+    a = [row[:] for row in eye]
+    for r, s in enumerate(dom):
+        row = moves[chain.index(s)]
+        total = sum(w for _, w in row)
+        for j, w in row:
+            if j in col:
+                a[r][col[j]] -= Fraction(w, total)
+    sol = solve_fraction(a, eye)
     if chain.mode == "rational":
-        a = [[Fraction(int(r == c)) - q[r][c] for c in range(k)] for r in range(k)]
-        eye = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
-        sol = solve_fraction(a, eye)
         values = tuple(tuple(row) for row in sol)
     else:
-        a = np.eye(k) - np.array(q, dtype=float)
-        sol = solve_double(a, np.eye(k))
         values = tuple(tuple(float(v) for v in row) for row in sol)
     return GreenTable(tuple(dom), values, chain.mode)
 
 
-def _reachable_within(chain: MarkovChain, start, domain: frozenset) -> frozenset:
-    """States of `domain` reachable from start along support paths inside it."""
-    adj = chain.support()
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y in domain and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
-
-
 def green_diagonal(chain: MarkovChain, domain: Iterable, x):
-    """G_domain(x, x) computed on the part of the domain x can actually reach.
+    """G_domain(x, x), from the chain reduced onto x.
 
-    Restricting to the reachable part leaves the value unchanged but keeps
-    the linear system regular when the domain contains unrelated traps.
+    With w_xx the weight of returning to x and w_dead that of leaving the
+    domain first, G(x, x) = (w_xx + w_dead) / w_dead.  Only the part of
+    the domain that x can reach is reduced, so unrelated traps in the
+    domain do not matter.
     """
     domain = frozenset(domain)
     if x not in domain:
         raise ValueError("state must belong to the domain")
-    part = _reachable_within(chain, x, domain)
-    return green(chain, part).diag(x)
+    outside = frozenset(chain.states) - domain
+    if x not in _entry_tables(chain, outside)[0]:
+        raise SingularSystemError(f"exit from the domain is not almost sure from {x!r}")
+    ((row, dead),) = _reduce(chain, (x,), outside)
+    back = row.get(0, 0)
+    if chain.mode == "rational":
+        return Fraction(back + dead, dead)
+    return (back + dead) / dead  # int / int is correctly rounded
 
 
 def f_product(chain: MarkovChain, domain: Iterable, points: Sequence):
@@ -323,64 +450,6 @@ def _tower_final(state, depth: int) -> tuple:
     return state
 
 
-def _eliminate(out: list, sinks: list, start: int) -> dict:
-    """Absorption weights of the start tower, by GTH state reduction.
-
-    out[i] maps the towers that tower i moves to, and sinks[i] the final
-    paths it can end on, to positive weights; both are consumed.  Every
-    tower but the start is eliminated, fewest in-edges times out-edges
-    first (ties by id).  Eliminating s rewrites each predecessor row as
-    T_s * row_i + w_is * row_s, where T_s is the total weight of s's row,
-    and drops the self-loops this creates: rows need only be proportional
-    to the exit probabilities, so nothing is ever subtracted.  Each
-    changed row is divided by its gcd.  Returns the start's sink
-    weights, proportional to the law.
-    """
-    preds = [set() for _ in out]
-    for i, row in enumerate(out):
-        row.pop(i, None)
-        for k in row:
-            preds[k].add(i)
-    live = set(range(len(out)))
-    live.discard(start)
-
-    def cost(t: int) -> int:
-        return len(preds[t]) * (len(out[t]) + len(sinks[t]))
-
-    heap = [(cost(t), t) for t in live]  # stale entries are skipped
-    heapq.heapify(heap)
-    while heap:
-        c, s = heapq.heappop(heap)
-        if s not in live or c != cost(s):
-            continue
-        live.discard(s)
-        out_s, sinks_s = out[s], sinks[s]
-        out[s] = sinks[s] = None
-        total = sum(out_s.values()) + sum(sinks_s.values())
-        for k in out_s:
-            preds[k].discard(s)
-        for i in preds[s]:
-            out_i, sinks_i = out[i], sinks[i]
-            w = out_i.pop(s)
-            for row_i, row_s in ((out_i, out_s), (sinks_i, sinks_s)):
-                for k in row_i:
-                    row_i[k] *= total
-                for k, v in row_s.items():
-                    row_i[k] = row_i.get(k, 0) + w * v
-            out_i.pop(i, None)
-            for k in out_s:
-                if k != i:
-                    preds[k].add(i)
-            g = math.gcd(*out_i.values(), *sinks_i.values())
-            if g > 1:
-                for row_i in (out_i, sinks_i):
-                    for k in row_i:
-                        row_i[k] //= g
-        for t in (preds[s] | out_s.keys()) & live:
-            heapq.heappush(heap, (cost(t), t))
-    return sinks[start]
-
-
 def enumerate_erasure_law(
     chain: MarkovChain,
     start,
@@ -441,14 +510,7 @@ def enumerate_erasure_law(
     last = stages[-1]
     solve = tol is not None and (last is None or last >= frozenset(states) - a)
     if rational or solve:
-        # integer weights: the kernel times the lcm of its denominators
-        # (Fraction of a float is its exact dyadic value)
-        kernel = chain.kernel if rational else [[Fraction(p) for p in row] for row in chain.kernel]
-        denom = math.lcm(*[p.denominator for row in kernel for p in row])
-        moves = [
-            [(j, p.numerator * (denom // p.denominator)) for j, p in enumerate(row) if p]
-            for row in kernel
-        ]
+        denom, moves = _integer_moves(chain)
     else:
         denom = 1.0
         moves = [[(j, float(p)) for j, p in enumerate(row) if p > 0] for row in chain.kernel]
@@ -493,7 +555,8 @@ def enumerate_erasure_law(
             nxt, ends = expand(len(out))
             out.append(nxt)
             sinks.append(ends)
-        weights = _eliminate(out, sinks, origin)
+        _eliminate(out, sinks, {origin})
+        weights = sinks[origin]
         total = sum(weights.values())
         if rational:
             atoms = {p: Fraction(w, total) for p, w in weights.items()}
@@ -575,40 +638,6 @@ def enumerate_trajectories(chain: MarkovChain, start, absorbing: Iterable, lengt
 # Traced kernels
 
 
-def _absorption_matrix(chain: MarkovChain, targets: frozenset, absorbers: frozenset):
-    """For every interior state, the hit distribution over targets + sink.
-
-    Returns (interior_states, rows) where each row maps target state (or
-    DELTA for the absorbers) to the probability of hitting it first.
-    """
-    interior = [s for s in chain.states if s not in targets and s not in absorbers]
-    cols = [s for s in chain.states if s in targets]
-    k = len(interior)
-    iidx = [chain.index(s) for s in interior]
-    if chain.mode == "rational":
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        zero, one = 0.0, 1.0
-    rhs = []
-    for i in iidx:
-        row = [chain.kernel[i][chain.index(c)] for c in cols]
-        row.append(sum((chain.kernel[i][chain.index(s)] for s in absorbers), zero))
-        rhs.append(row)
-    if k == 0:
-        return interior, []
-    q = [[chain.kernel[r][c] for c in iidx] for r in iidx]
-    if chain.mode == "rational":
-        a = [[(one if r == c else zero) - q[r][c] for c in range(k)] for r in range(k)]
-        sol = solve_fraction(a, rhs)
-    else:
-        a = np.eye(k) - np.array(q, dtype=float)
-        sol = solve_double(a, np.array(rhs, dtype=float))
-    rows = []
-    for r in range(k):
-        rows.append({c: sol[r][j] for j, c in enumerate(cols)} | {DELTA: sol[r][len(cols)]})
-    return interior, rows
-
-
 def traced_kernel(
     chain: MarkovChain,
     subset: Iterable,
@@ -624,6 +653,14 @@ def traced_kernel(
     zero.  Entering the absorbing set first moves the observation to the
     sink state DELTA, which is absorbing; the sink appears only when the
     absorbing set is non-empty.
+
+    Both variants come from one exact reduction onto the subset
+    (`_reduce`): hitting-set rows are its rows normalised, and since the
+    returns to the current state before the next other observation are
+    geometric, exclude-current rows are the same rows with the diagonal
+    dropped.  Double kernels are exact values rounded once.  A state the
+    walk can reach from the subset without being observed again almost
+    surely raises ValueError.
     """
     subset = frozenset(subset)
     sub = [s for s in chain.states if s in subset]
@@ -642,57 +679,22 @@ def traced_kernel(
         # tracing a chain whose own sink is the absorber is fine; a live
         # state with the reserved name would collide with the new sink
         raise ValueError(f"state name {DELTA!r} is reserved for the sink")
+    exclude = variant == "exclude-current"
+    if exclude and len(sub) == 1 and not a:
+        raise ValueError("exclude-current needs a second subset state or killing")
 
     rational = chain.mode == "rational"
-    zero = Fraction(0) if rational else 0.0
-    one = Fraction(1) if rational else 1.0
-
-    out_states = list(sub) + ([DELTA] if a else [])
     rows = []
-    if variant == "hitting-set":
-        targets = frozenset(sub)
-        closure = _entry_tables(chain, targets | a)[0]
-        missing = [s for s in sub if s not in closure]
-        if missing:
-            raise ValueError(
-                f"observation is not almost sure from {sorted(map(str, missing))}"
-            )
-        interior, irows = _absorption_matrix(chain, targets, a)
-        hit = dict(zip(interior, irows))
-        for x in sub:
-            i = chain.index(x)
-            row = {c: zero for c in out_states}
-            for j, p in enumerate(chain.kernel[i]):
-                if p <= 0:
-                    continue
-                y = chain.states[j]
-                if y in targets:
-                    row[y] += p
-                elif y in a:
-                    row[DELTA] += p
-                else:
-                    if y not in closure:
-                        raise ValueError(f"observation can stall via {y!r}")
-                    for c, q in hit[y].items():
-                        if q > 0:
-                            row[c] += p * q
-            rows.append(tuple(row[c] for c in out_states))
-    else:
-        for x in sub:
-            targets = frozenset(sub) - {x}
-            if not targets and not a:
-                raise ValueError("exclude-current needs a second subset state or killing")
-            closure = _entry_tables(chain, targets | a)[0]
-            if x not in closure:
-                raise ValueError(f"observation is not almost sure from {x!r}")
-            interior, irows = _absorption_matrix(chain, targets, a)
-            hit = dict(zip(interior, irows))
-            row = {c: zero for c in out_states}
-            src = hit[x]
-            for c, q in src.items():
-                if q > 0:
-                    row[c] += q
-            rows.append(tuple(row[c] for c in out_states))
+    for k, (row, dead) in enumerate(_reduce(chain, sub, a)):
+        if exclude:
+            row.pop(k, None)
+            if not row and not dead:
+                raise ValueError(f"observation is not almost sure from {sub[k]!r}")
+        total = sum(row.values()) + dead
+        weights = [row.get(c, 0) for c in range(len(sub))] + ([dead] if a else [])
+        # int / int is correctly rounded
+        rows.append(tuple(Fraction(w, total) if rational else w / total for w in weights))
     if a:
-        rows.append(tuple(one if c == DELTA else zero for c in out_states))
-    return MarkovChain(tuple(out_states), tuple(rows), chain.mode)
+        zero, one = (Fraction(0), Fraction(1)) if rational else (0.0, 1.0)
+        rows.append((zero,) * len(sub) + (one,))
+    return MarkovChain(tuple(sub) + ((DELTA,) if a else ()), tuple(rows), chain.mode)

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .chain import STEP_CAP, _cum_row, _walk, trajectory_stream
-from .erasure import loop_erase, partial_loop_erase
+from .erasure import loop_erase, partial_loop_erase, refinement_erase
 from .fractal import (
     FractalGraph,
     adjacency_arrays,
@@ -220,10 +220,7 @@ def _apply_pipeline(path: tuple, pipeline):
         if pipeline != "LE":
             raise ValueError(f"unknown pipeline {pipeline!r}")
         return loop_erase(path).path
-    out = tuple(path)
-    for level in pipeline:
-        out = partial_loop_erase(out, frozenset(level)).path
-    return out
+    return refinement_erase(path, pipeline)[-1].path
 
 
 def lerw_set_law(

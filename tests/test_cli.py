@@ -168,6 +168,18 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_unnested_pipeline_exits_two(self, tmp_path, capsys):
+        # the same rule as exact-law's: each stage contains the one before
+        code = main(
+            ["simulate", "--gasket", "-m", "2", "--from", "q1", "--to", "q2",
+             "-n", "10", "--pipeline", "v2,v0", "--seed", "1", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "nested" in capsys.readouterr().err
+        code = main(["exact-law", "--pipeline", "a,b,c,d;a,c", "--out", str(tmp_path)])
+        assert code == 2
+        assert "nested" in capsys.readouterr().err
+
 
 class TestExactLaw:
     def test_bundled_chain_law(self, tmp_path):

@@ -4,12 +4,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
-import numpy as np
 import pytest
 
 from lerw import exactlaw
-from lerw._exact import SingularSystemError
-from lerw.chain import build_chain, dense_chain as named_chain, reachability_closure
+from lerw._exact import SingularSystemError, solve_fraction
+from lerw.chain import MarkovChain, build_chain, dense_chain as named_chain, reachability_closure
 from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.exactlaw import (
     DELTA,
@@ -25,7 +24,6 @@ from lerw.exactlaw import (
     le_path_probability,
     traced_kernel,
     tv_distance,
-    _absorption_matrix,
 )
 
 from _gen import dense_chain, nested_sequences, reversible_chain, sparse_chain
@@ -95,8 +93,7 @@ class TestGreen:
                 for y in b:
                     if x == y:
                         continue
-                    interior, rows = _absorption_matrix(ch, frozenset({y}), outside)
-                    hit = dict(zip(interior, rows))[x][y]
+                    hit = traced_kernel(ch, {x, y}, outside, "exclude-current").transition(x, y)
                     assert g.value(x, y) == hit * g.value(y, y)
 
     def test_one_shot_domain(self):
@@ -115,30 +112,42 @@ class TestGreen:
                 assert abs(g_float.value(x, y) - float(g_exact.value(x, y))) < 1e-12
 
 
-class TestResidualCheck:
-    def test_double_solves_check_their_residual(self, monkeypatch):
-        real = np.linalg.solve
+def exact_twin(chain):
+    """The rational chain of a double chain's exact entries, each row over its own total."""
+    rows = []
+    for row in chain.kernel:
+        exact = [Fraction(p) for p in row]
+        rows.append(tuple(p / sum(exact) for p in exact))
+    return MarkovChain(chain.states, tuple(rows), "rational")
 
-        def skewed(a, b):
-            """Solutions off by one part in a million."""
-            return real(a, b) * (1 + 1e-6)
 
-        monkeypatch.setattr(np.linalg, "solve", skewed)
-        ch = cycle_chain().as_double()
-        calls = [
-            lambda: green(ch, {"a", "b"}),
-            lambda: traced_kernel(ch, {"a", "c"}, {"d"}, "hitting-set"),
-            lambda: traced_kernel(ch, {"a", "c"}, (), "exclude-current"),
-        ]
-        for call in calls:
-            with pytest.raises(SingularSystemError, match="residual"):
-                call()
+class TestDoubleMode:
+    def test_double_results_are_rounded_exact_values(self):
+        # double mode solves nothing in floating point: Green values and
+        # traced kernels are the exact values of the float kernel, rounded once
+        rng = Random(31)
+        for _ in range(40):
+            ch = dense_chain(rng, rng.randint(3, 6)).as_double()
+            twin = exact_twin(ch)
+            states = list(ch.states)
+            b = frozenset(rng.sample(states, rng.randint(1, len(states) - 1)))
+            g, g_exact = green(ch, b), green(twin, b)
+            assert g.values == tuple(tuple(float(v) for v in row) for row in g_exact.values)
+            for x in b:
+                assert green_diagonal(ch, b, x) == g.diag(x) == float(g_exact.diag(x))
+            outside = frozenset(states) - b
+            a = frozenset(rng.sample(sorted(outside), rng.randint(0, len(outside))))
+            for variant in ("hitting-set", "exclude-current"):
+                if variant == "exclude-current" and len(b) == 1 and not a:
+                    continue
+                t, t_exact = traced_kernel(ch, b, a, variant), traced_kernel(twin, b, a, variant)
+                assert t.mode == "double"
+                assert all(type(p) is float for row in t.kernel for p in row)
+                assert t.kernel == tuple(tuple(float(p) for p in row) for row in t_exact.kernel)
 
     def test_large_green_values_pass(self):
         # exit from {a, b} has probability 1e-8 per step, so G is about
-        # 5e7; the float solve's backward error stays near machine
-        # precision, while a residual scaled only by the entries of the
-        # system (2.8e-9 here) would refuse it
+        # 5e7; a float solve of I - Q would lose about eight digits
         e = Fraction(1, 10**8)
         ch = build_chain("abc", [[0, 1 - e, e], [1 - e, 0, e], [0, 0, 1]], "rational")
         exact = green(ch, {"a", "b"})
@@ -542,6 +551,89 @@ class TestTracedKernel:
         )
         with pytest.raises(ValueError, match="almost sure|stall"):
             traced_kernel(trap, {"a", "t"}, {"z"}, "exclude-current")
+
+
+    def test_unreachable_trap_ignored(self):
+        # z is a trap the walk from a never reaches
+        ch = build_chain(
+            "acz",
+            [["1/2", "1/2", "0"], ["1/2", "1/2", "0"], ["0", "0", "1"]],
+            "rational",
+        )
+        h = Fraction(1, 2)
+        t = traced_kernel(ch, {"a"}, {"c"}, "hitting-set")
+        assert t.states == ("a", DELTA)
+        assert t.kernel == ((h, h), (0, 1))
+        assert traced_kernel(ch, {"a"}, {"c"}, "exclude-current").kernel == ((0, 1), (0, 1))
+
+    def test_reachable_trap_stalls(self):
+        trap = build_chain(
+            "atz",
+            [["0", "1/2", "1/2"], ["0", "1", "0"], ["0", "0", "1"]],
+            "rational",
+        )
+        for variant in ("hitting-set", "exclude-current"):
+            with pytest.raises(ValueError, match="stall"):
+                traced_kernel(trap, {"a"}, {"z"}, variant)
+
+    def test_matches_dense_solve_on_sparse_chains(self):
+        rng = Random(79)
+        checked = refused = 0
+        for _ in range(300):
+            ch = sparse_chain(rng, rng.randint(3, 7))
+            states = list(ch.states)
+            sub = frozenset(rng.sample(states, rng.randint(1, len(states) - 1)))
+            rest = [s for s in states if s not in sub]
+            a = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+            for variant in ("hitting-set", "exclude-current"):
+                want = dense_traced_rows(ch, sub, a, variant)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        traced_kernel(ch, sub, a, variant)
+                    refused += 1
+                else:
+                    assert traced_kernel(ch, sub, a, variant).kernel == want
+                    checked += 1
+        assert checked > 500 and refused > 10
+
+
+def dense_traced_rows(chain, subset, absorbing, variant):
+    """Reference traced kernel rows by dense solves of (I - Q) h = R.
+
+    The interior is restricted to the states from which the observation
+    is almost sure; None when it is not almost sure from the subset.
+    """
+    sub = [s for s in chain.states if s in subset]
+    a = frozenset(absorbing)
+    p = chain.transition
+    rows = []
+    for x in sub:
+        targets = frozenset(sub) - {x} if variant == "exclude-current" else frozenset(sub)
+        closure = reachability_closure(chain, targets | a)
+        interior = [s for s in chain.states if s in closure and s not in targets | a]
+
+        def first_hit(u):
+            return [p(u, t) if t in targets else Fraction(0) for t in sub] + [
+                sum((p(u, z) for z in a), Fraction(0))
+            ]
+
+        lhs = [[int(u == v) - p(u, v) for v in interior] for u in interior]
+        h = dict(zip(interior, solve_fraction(lhs, [first_hit(u) for u in interior])))
+        if variant == "exclude-current":
+            if x not in closure:
+                return None
+            row = h[x]
+        else:
+            row = first_hit(x)
+            for y in chain.states:
+                if p(x, y) and y not in closure:
+                    return None
+                if y in h:
+                    row = [r + p(x, y) * q for r, q in zip(row, h[y])]
+        rows.append(tuple(row if a else row[:-1]))
+    if a:
+        rows.append((Fraction(0),) * len(sub) + (Fraction(1),))
+    return tuple(rows)
 
 
 def skeleton_and_bridges(w, observed, absorbing):
