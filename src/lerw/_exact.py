@@ -1,14 +1,19 @@
 """Exact and checked linear solves.
 
-`solve_fraction` is dense Gauss-Jordan elimination over Fraction, for
-`exactlaw.green` (in both numeric modes) and the tests' references.
-Every float solve in the package (the sparse network solves) passes its
-result through `check_residual`, since downstream quantities
-(resistances, hitting laws) are compared at tight tolerances.
+`eliminate` is the package's one sparse exact elimination, GTH state
+reduction of integer rows with optional loads and back-substitution
+records: `exactlaw` runs it on chains, `network` on rational Laplacians.
+`solve_fraction` is dense Gauss-Jordan over Fraction, for `exactlaw.green`
+and the tests' references.  Every float solve in the package (the sparse
+network solves) passes its result through `check_residual`, since
+downstream quantities (resistances, hitting laws) are compared at tight
+tolerances.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +24,77 @@ class SingularSystemError(ArithmeticError):
 
 
 RESIDUAL_TOL = 1e-10
+
+
+def eliminate(
+    out: list, sinks: list, keep: set, loads: list | None = None, stars: list | None = None
+) -> None:
+    """Reduce integer rows onto the rows in keep by GTH state reduction
+    (Grassmann, Taksar and Heyman 1985).
+
+    Row i reads T_i x_i = loads[i] + sum_k out[i][k] x_k + sum_z
+    sinks[i][z] x_z: out[i] and sinks[i] map rows and sink labels to
+    positive weights totalling T_i, and the load (0 if loads is None) is
+    an injected current outside that total.  Rows outside keep go fewest
+    in-edges times out-edges first (ties by id); eliminating s makes each
+    predecessor row, load included, T_s * row_i + w_is * row_s over its
+    gcd.  The self-loops of rows still to be eliminated are dropped, so
+    nothing is ever subtracted.  Kept rows keep theirs: a chain's kept
+    row k ends proportional to where the chain from k is first seen again
+    in keep (at time >= 1), or to the sink it ends on first.  stars, if a
+    list, receives (s, out_s, sinks_s, load_s, T_s) for each eliminated
+    row in order, for back-substitution in reverse.
+    """
+    if loads is None:
+        loads = [0] * len(out)
+    preds = [set() for _ in out]
+    for i, row in enumerate(out):
+        if i not in keep:
+            row.pop(i, None)
+        for k in row:
+            preds[k].add(i)
+    live = set(range(len(out))) - keep
+
+    def cost(t: int) -> int:
+        return len(preds[t]) * (len(out[t]) + len(sinks[t]))
+
+    heap = [(cost(t), t) for t in live]  # stale entries are skipped
+    heapq.heapify(heap)
+    while heap:
+        c, s = heapq.heappop(heap)
+        if s not in live or c != cost(s):
+            continue
+        live.discard(s)
+        out_s, sinks_s, load_s = out[s], sinks[s], loads[s]
+        out[s] = sinks[s] = None
+        total = sum(out_s.values()) + sum(sinks_s.values())
+        if stars is not None:
+            stars.append((s, out_s, sinks_s, load_s, total))
+        for k in out_s:
+            preds[k].discard(s)
+        for i in preds[s]:
+            out_i, sinks_i = out[i], sinks[i]
+            w = out_i.pop(s)
+            for row_i, row_s in ((out_i, out_s), (sinks_i, sinks_s)):
+                for k in row_i:
+                    row_i[k] *= total
+                for k, v in row_s.items():
+                    row_i[k] = row_i.get(k, 0) + w * v
+            load_i = loads[i] * total + w * load_s
+            if i not in keep:
+                out_i.pop(i, None)
+            for k in out_s:
+                if k != i:
+                    preds[k].add(i)
+            g = math.gcd(*out_i.values(), *sinks_i.values(), load_i)
+            if g > 1:
+                for row_i in (out_i, sinks_i):
+                    for k in row_i:
+                        row_i[k] //= g
+                load_i //= g
+            loads[i] = load_i
+        for t in (preds[s] | out_s.keys()) & live:
+            heapq.heappush(heap, (cost(t), t))
 
 
 def solve_fraction(a, b):

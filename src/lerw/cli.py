@@ -698,9 +698,8 @@ def _cmd_exact_law(cfg: dict) -> int:
 
 def _nested_pipelines(states: tuple) -> list:
     """All 2-level and 3-level nested stage sequences ending in the full set."""
-    # Unlike the acceptance test's copy, the first stage may be empty; the
-    # fuzzed cases follow this list, so sharing one copy would change both
-    # the verify-theorem1 outputs and the test's case count.
+    # The first stage may be empty; criterion 1 in the acceptance tests
+    # filters those out of this one list.
     full = frozenset(states)
     out = []
     for mask in product((0, 1), repeat=len(states)):
@@ -990,10 +989,7 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args.subcommand, args)
         return args.cmd(cfg)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, GuardError, StepCapExceeded) as e:
+    except (UsageError, ValueError, GuardError, StepCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -5,13 +5,13 @@ mode no floating point enters: Green values, path probabilities and the
 enumerated laws are Fractions, so equalities between laws can be asserted
 with == rather than tolerances.
 
-One exact reduction serves every job: Grassmann–Taksar–Heyman state
-reduction (`_eliminate`) of integer weights onto a kept set.  The chain
-reduced onto a subset (`_reduce`) gives the traced kernels, and reduced
-onto one state the Green diagonals; the full Green table (`green`) is
-the one dense exact solve.  A double kernel's entries are dyadic
-rationals, so double mode runs the same exact arithmetic on them and
-rounds each result once.
+One exact reduction serves every job: `_exact.eliminate`, the GTH
+state reduction of integer weights onto a kept set that `network` runs
+on rational Laplacians too.  The chain reduced onto a subset (`_reduce`)
+gives the traced kernels, and onto one state the Green diagonals; the
+full Green table (`green`) is the one dense exact solve.  A double
+kernel's entries are dyadic rationals, so double mode runs the same
+exact arithmetic on them and rounds each result once.
 
 Erased-walk laws aggregate trajectories by their "tower", the running
 erasure state of the whole pipeline (a sufficient statistic for its
@@ -24,13 +24,12 @@ The slow per-trajectory recursion is kept alongside as a cross-check.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._exact import SingularSystemError, solve_fraction
+from ._exact import SingularSystemError, eliminate, solve_fraction
 from .chain import MarkovChain, _entry_tables
 from .erasure import fold_step
 
@@ -75,66 +74,6 @@ def _integer_moves(chain: MarkovChain) -> tuple:
     return cached
 
 
-def _eliminate(out: list, sinks: list, keep: set) -> None:
-    """Reduce a weighted chain onto the rows in keep, by GTH state reduction.
-
-    out[i] maps the rows that row i moves to, and sinks[i] the sinks it
-    can end on, to positive weights.  Every other row is eliminated and
-    consumed, fewest in-edges times out-edges first (ties by id).
-    Eliminating s rewrites each predecessor row as T_s * row_i + w_is *
-    row_s, where T_s is the total weight of s's row.  Rows need only be
-    proportional to the exit probabilities, so nothing is ever subtracted
-    and the self-loops of rows still to be eliminated are dropped.  Each
-    changed row is divided by its gcd.  Kept rows keep their self-loops:
-    on return, out[k] and sinks[k] for k in keep are proportional to
-    where the chain from k is first seen again in keep (at time >= 1), or
-    to the sink it ends on first.
-    """
-    preds = [set() for _ in out]
-    for i, row in enumerate(out):
-        if i not in keep:
-            row.pop(i, None)
-        for k in row:
-            preds[k].add(i)
-    live = set(range(len(out))) - keep
-
-    def cost(t: int) -> int:
-        return len(preds[t]) * (len(out[t]) + len(sinks[t]))
-
-    heap = [(cost(t), t) for t in live]  # stale entries are skipped
-    heapq.heapify(heap)
-    while heap:
-        c, s = heapq.heappop(heap)
-        if s not in live or c != cost(s):
-            continue
-        live.discard(s)
-        out_s, sinks_s = out[s], sinks[s]
-        out[s] = sinks[s] = None
-        total = sum(out_s.values()) + sum(sinks_s.values())
-        for k in out_s:
-            preds[k].discard(s)
-        for i in preds[s]:
-            out_i, sinks_i = out[i], sinks[i]
-            w = out_i.pop(s)
-            for row_i, row_s in ((out_i, out_s), (sinks_i, sinks_s)):
-                for k in row_i:
-                    row_i[k] *= total
-                for k, v in row_s.items():
-                    row_i[k] = row_i.get(k, 0) + w * v
-            if i not in keep:
-                out_i.pop(i, None)
-            for k in out_s:
-                if k != i:
-                    preds[k].add(i)
-            g = math.gcd(*out_i.values(), *sinks_i.values())
-            if g > 1:
-                for row_i in (out_i, sinks_i):
-                    for k in row_i:
-                        row_i[k] //= g
-        for t in (preds[s] | out_s.keys()) & live:
-            heapq.heappush(heap, (cost(t), t))
-
-
 def _reduce(chain: MarkovChain, keep: Sequence, absorbing: frozenset) -> list:
     """The chain's integer weights reduced onto the states `keep`.
 
@@ -166,7 +105,7 @@ def _reduce(chain: MarkovChain, keep: Sequence, absorbing: frozenset) -> list:
             row[k] = w
         out.append(row)
         sinks.append({DELTA: dead} if dead else {})
-    _eliminate(out, sinks, set(range(len(keep))))
+    eliminate(out, sinks, set(range(len(keep))))
     return [(out[k], sinks[k].get(DELTA, 0)) for k in range(len(keep))]
 
 
@@ -469,15 +408,13 @@ def enumerate_erasure_law(
     state (as "LE" and every pipeline ending in the full set do), the
     towers reachable from the start are finitely many.  The tower chain
     is then built by breadth-first search and eliminated exactly
-    (`_eliminate`), so the law is exact and tail_bound is 0 whatever
-    tol is.  Double mode runs the same integer elimination on the exact
-    values of its float kernel and rounds each atom once, so laws that
-    agree in exact arithmetic agree bit for bit.  A tower chain of more
-    than TOWER_GUARD towers raises GuardError.  Otherwise the mass is
-    stepped forward one walk step at a time: for length_cap steps when
-    tol is None, else until the mass still unabsorbed is at most tol.
-    tail_bound is that unabsorbed mass, a certified bound on what the
-    atoms miss.
+    (`_exact.eliminate`), so the law is exact and tail_bound is 0 whatever
+    tol is; double laws that agree in exact arithmetic agree bit for bit.
+    A tower chain of more than TOWER_GUARD towers raises GuardError.
+    Otherwise the mass is stepped forward one walk step at a time: for
+    length_cap steps when tol is None, else until the mass still
+    unabsorbed is at most tol.  tail_bound is that unabsorbed mass, a
+    certified bound on what the atoms miss.
 
     step_fn overrides the innermost erasure fold step; it exists so
     negative controls can inject a broken erasure.  Leave it None.
@@ -555,7 +492,7 @@ def enumerate_erasure_law(
             nxt, ends = expand(len(out))
             out.append(nxt)
             sinks.append(ends)
-        _eliminate(out, sinks, {origin})
+        eliminate(out, sinks, {origin})
         weights = sinks[origin]
         total = sum(weights.values())
         if rational:
@@ -658,9 +595,8 @@ def traced_kernel(
     (`_reduce`): hitting-set rows are its rows normalised, and since the
     returns to the current state before the next other observation are
     geometric, exclude-current rows are the same rows with the diagonal
-    dropped.  Double kernels are exact values rounded once.  A state the
-    walk can reach from the subset without being observed again almost
-    surely raises ValueError.
+    dropped.  A state the walk can reach from the subset without being
+    observed again almost surely raises ValueError.
     """
     subset = frozenset(subset)
     sub = [s for s in chain.states if s in subset]

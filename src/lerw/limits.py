@@ -231,6 +231,8 @@ def lerw_set_law(
     For the plain "LE" pipeline every output is checked to be a simple
     path from x into exactly one target before it is recorded.
     """
+    if num_samples <= 0:
+        raise ValueError("num_samples must be positive")
     g = config.graph
     walk, is_target = _graph_walker(config, x, targets)
     plain = isinstance(pipeline, str)
@@ -257,6 +259,8 @@ def coupled_refinement_distance(
     trajectory on the configured graph. At m equal to the graph level the
     stage is already the full erasure and every distance is zero.
     """
+    if num_samples <= 0:
+        raise ValueError("num_samples must be positive")
     g = config.graph
     if not 0 <= m <= g.level:
         raise ValueError("stage level out of range")

@@ -3,23 +3,24 @@
 Conductances live on unordered vertex pairs; an absent pair means zero.
 Everything downstream (resistance, harmonic extension, tracing) reduces
 to Dirichlet problems for the weighted graph Laplacian. Rational mode
-solves them exactly with one sparse elimination, `_star_mesh`: vertices
-go one star at a time, smallest star first, and a trace reads the
-reduced conductances while a Dirichlet solve back-substitutes the
-potentials. Double mode builds one CSR Laplacian per network and solves
-every problem with a sparse LU whose residual is checked.
+solves them exactly with `_exact.eliminate`, the GTH reduction the chain
+laws use: vertices are integer rows carrying their currents as loads, a
+Dirichlet solve back-substitutes the eliminated rows and a trace reads
+the kept rows as the traced walk. Double mode builds one CSR Laplacian
+per network and solves every problem with a sparse LU whose residual is
+checked.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._exact import SingularSystemError, check_residual
+from ._exact import SingularSystemError, check_residual, eliminate
 from .chain import MarkovChain, build_chain
 
 
@@ -201,55 +202,33 @@ def _solve_block(net: ElectricalNetwork, idx: list, rhs: np.ndarray) -> np.ndarr
 _EVERY = object()
 
 
-def _star_mesh(net: ElectricalNetwork, drop, current: Mapping | None = None):
-    """Eliminate the vertices of `drop` one star at a time, exactly.
+def _eliminate_rows(net: ElectricalNetwork, rows: list, keep=(), current: Mapping = {}) -> tuple:
+    """`eliminate` every vertex of rows but those in keep; returns (out,
+    sinks, loads, stars) as it leaves them, rows indexed by position.
 
-    Smallest star first, ties broken by vertex position, which keeps the
-    fill-in down. Eliminating v with star conductances c_va (total c_v)
-    joins each pair of its neighbours a, b by c_va c_vb / c_v and hands
-    the share c_va / c_v of v's injected current on to each a.
-
-    Returns (adj, current, stars): the reduced conductances and currents
-    of the vertices left, and for every eliminated vertex, in order, the
-    record (v, star, c_v, current at v) that back-substitution needs.
+    Row v is c_v u_v = I_v + sum_y c_vy u_y times the lcm of every
+    conductance's and current's denominator, its current I_v the load; a
+    neighbour y outside rows is the sink y.
     """
-    adj: dict = {v: {} for v in net.vertices}
-    for key, c in net.conductances.items():
-        x, y = key
-        adj[x][y] = adj[y][x] = Fraction(c)
-    cur = {v: Fraction(f) for v, f in (current or {}).items() if f}
-    pos = net._pos
-    remaining = set(drop)
-    heap = [(len(adj[v]), pos[v], v) for v in remaining]
-    heapq.heapify(heap)
-    stars = []
-    while heap:
-        size, _, v = heapq.heappop(heap)
-        if v not in remaining or size != len(adj[v]):
-            continue  # a stale entry: v is gone or its star has changed
-        remaining.discard(v)
-        star = list(adj.pop(v).items())
-        total = sum(c for _, c in star)
-        f = cur.pop(v, 0)
-        for i, (a, ca) in enumerate(star):
-            del adj[a][v]
-            if f:
-                cur[a] = cur.get(a, 0) + ca * f / total
-            for b, cb in star[i + 1 :]:
-                add = ca * cb / total
-                adj[a][b] = adj[a].get(b, 0) + add
-                adj[b][a] = adj[b].get(a, 0) + add
-        for a, _ in star:
-            if a in remaining:
-                heapq.heappush(heap, (len(adj[a]), pos[a], a))
-        stars.append((v, star, total, f))
-    return adj, cur, stars
-
-
-def _potential(star, total, f, u: Mapping) -> list:
-    """Row of potentials at an eliminated vertex: (f + sum c_va u_a) / c_v."""
-    cols = zip(*(u[a] for a, _ in star))
-    return [(f + sum(c * g for (_, c), g in zip(star, col))) / total for col in cols]
+    idx = {v: i for i, v in enumerate(rows)}
+    current = {v: Fraction(f) for v, f in current.items()}
+    scale = math.lcm(*(c.denominator for c in [*net.conductances.values(), *current.values()]))
+    out, sinks = [], []
+    for v in rows:
+        row, sink = {}, {}
+        for y, c in net.neighbors(v):
+            w = c.numerator * (scale // c.denominator)
+            k = idx.get(y)
+            if k is None:
+                sink[y] = w
+            else:
+                row[k] = w
+        out.append(row)
+        sinks.append(sink)
+    loads = [int(current.get(v, 0) * scale) for v in rows]
+    stars: list = []
+    eliminate(out, sinks, {idx[v] for v in keep}, loads, stars)
+    return out, sinks, loads, stars
 
 
 def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping, at=_EVERY):
@@ -260,9 +239,10 @@ def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping
     and the same current. Returns the row at vertex `at`, or by default a
     dict of every vertex's row. Unknown vertices raise ValueError.
 
-    Rational mode eliminates the interior exactly with `_star_mesh`
-    (keeping `at` to the end), then back-substitutes in reverse order;
-    double mode solves the interior block with one sparse LU.
+    Rational mode eliminates the interior exactly (keeping only `at`,
+    when given, whose reduced row reads u = (load + sum sink * g) /
+    sum sink), then back-substitutes in reverse order; double mode
+    solves the interior block with one sparse LU.
     """
     if not boundary:
         raise ValueError("boundary must be non-empty")
@@ -277,13 +257,18 @@ def _dirichlet_solve(net: ElectricalNetwork, boundary: Mapping, current: Mapping
         return dict(boundary)
     if net.mode == "rational":
         u = {v: [Fraction(g) for g in row] for v, row in boundary.items()}
-        drop = interior if at is _EVERY else [v for v in interior if v != at]
-        adj, cur, stars = _star_mesh(net, drop, current)
-        if at is not _EVERY:
-            star = list(adj[at].items())
-            return _potential(star, sum(c for _, c in star), cur.get(at, 0), u)
-        for v, star, total, f in reversed(stars):
-            u[v] = _potential(star, total, f, u)
+        cols = range(len(next(iter(u.values()))))
+        keep = () if at is _EVERY else (at,)
+        _, sinks, loads, stars = _eliminate_rows(net, interior, keep, current)
+        if keep:  # at's reduced row, its self-loop dropped, is the one star
+            k = interior.index(at)
+            stars = [(k, {}, sinks[k], loads[k], sum(sinks[k].values()))]
+        for s, out_s, sinks_s, load_s, total in reversed(stars):
+            terms = [(w, u[interior[k]]) for k, w in out_s.items()]
+            terms += [(w, u[z]) for z, w in sinks_s.items()]
+            u[interior[s]] = [(load_s + sum(w * g[c] for w, g in terms)) / total for c in cols]
+        if keep:
+            return u[at]
         out = dict(boundary)
         out.update((v, u[v]) for v in interior)
         return out
@@ -361,9 +346,9 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     subset sees: pairwise effective resistances are preserved and the
     induced walk is the original walk watched on its visits to the subset.
 
-    Rational mode eliminates the complement exactly with `_star_mesh`,
-    the elimination every rational Dirichlet solve runs, and keeps the
-    reduced conductances; double mode takes the Schur complement
+    Rational mode eliminates the complement exactly, as every rational
+    Dirichlet solve does, and reads c'_ab = c_a w_ab / T_a off the kept
+    rows; double mode takes the Schur complement
     L_KK - L_KO L_OO^-1 L_OK of the Laplacian in one block step, with one
     sparse solve.
     """
@@ -377,13 +362,18 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     if not drop:
         return ElectricalNetwork(tuple(kept), dict(net.conductances), net.mode)
 
+    cond = {}
     if net.mode == "rational":
-        adj, _, _ = _star_mesh(net, drop)
-        cond = {}
-        for x in kept:
-            for y, c in adj[x].items():
-                cond[frozenset((x, y))] = c
-        traced = ElectricalNetwork(tuple(kept), cond, "rational")
+        # the reduced walk from a is seen next at b with weight w_ab / T_a
+        # (T_a counts a's self-loop), and c_a is unchanged by a trace
+        out = _eliminate_rows(net, net.vertices, kept)[0]
+        for a in kept:
+            i = net._pos[a]
+            total = sum(out[i].values())
+            for k, w in out[i].items():
+                key = frozenset((a, net.vertices[k]))
+                if k != i and key not in cond:
+                    cond[key] = Fraction(net.weight(a) * w, total)
     else:
         lap = laplacian(net)
         ki, oi = _positions(net, kept), _positions(net, drop)
@@ -391,18 +381,15 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
             net, oi, lap[oi][:, ki].toarray()
         )
         nk = len(kept)
-        cond = {}
         scale = max(abs(schur).max(), 1.0)
         for i in range(nk):
             for j in range(i + 1, nk):
                 c = -0.5 * (schur[i, j] + schur[j, i])
                 if c > 1e-13 * scale:
                     cond[frozenset((kept[i], kept[j]))] = float(c)
-        traced = ElectricalNetwork(tuple(kept), cond, "double")
-
     # the constructor re-checks connectivity, which a trace of a
     # connected network can never lose
-    return traced
+    return ElectricalNetwork(tuple(kept), cond, net.mode)
 
 
 class HittingBoundReport(NamedTuple):

@@ -116,8 +116,15 @@ class TestConverge:
         assert table[0].startswith("# config ")
         assert len(table) == 4  # comment, header, two level pairs
 
-    def test_bad_what_exits_two(self, tmp_path):
+    def test_bad_what_exits_two(self, tmp_path, capsys):
         assert main(["converge", "--what", "nope", "--out", str(tmp_path)]) == 2
+        for n in ("0", "-3"):
+            code = main(
+                ["converge", "--what", "coupled", "--gasket", "--pairs", "1:2",
+                 "--from", "q1", "--to", "q2", "-n", n, "--seed", "3", "--out", str(tmp_path)]
+            )
+            assert code == 2
+            assert "num_samples must be positive" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -167,6 +174,13 @@ class TestSimulate:
              "-n", "10", "--out", str(tmp_path)]
         )
         assert code == 2
+        for n in ("0", "-3"):
+            code = main(
+                ["simulate", "--gasket", "-m", "1", "--from", "q1", "--to", "q2",
+                 "-n", n, "--seed", "3", "--out", str(tmp_path)]
+            )
+            assert code == 2
+            assert "num_samples must be positive" in capsys.readouterr().err
 
     def test_unnested_pipeline_exits_two(self, tmp_path, capsys):
         # the same rule as exact-law's: each stage contains the one before

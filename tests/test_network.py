@@ -9,7 +9,7 @@ import pytest
 
 from lerw._exact import SingularSystemError, solve_fraction
 from lerw.chain import sample_until_entry, trajectory_stream
-from lerw.exactlaw import traced_kernel
+from lerw.exactlaw import green_diagonal, traced_kernel
 from lerw.fractal import corner_indices, gasket_graph, uniform_network
 from lerw.network import (
     ElectricalNetwork,
@@ -392,6 +392,26 @@ def dense_potentials(net, boundary, current):
     return u
 
 
+def dense_trace(net, keep):
+    """Conductances of the Schur complement L_KK - L_KO L_OO^-1 L_OK,
+    with L_OO^-1 L_OK solved by Gauss-Jordan over Fractions."""
+    kept = [v for v in net.vertices if v in keep]
+    drop = [v for v in net.vertices if v not in keep]
+
+    def lap(v, w):
+        return net.weight(v) if v == w else -net.conductance(v, w)
+
+    l_oo = [[lap(o, p) for p in drop] for o in drop]
+    sol = solve_fraction(l_oo, [[lap(o, k) for k in kept] for o in drop])
+    cond = {}
+    for i, a in enumerate(kept):
+        for j in range(i + 1, len(kept)):
+            c = -lap(a, kept[j]) + sum(lap(a, o) * row[j] for o, row in zip(drop, sol))
+            if c:
+                cond[frozenset((a, kept[j]))] = c
+    return cond
+
+
 class TestRationalSolves:
     def test_equal_dense_reference(self):
         rng = Random(71)
@@ -406,6 +426,11 @@ class TestRationalSolves:
             x = rng.choice(rest)
             grounded = {t: 0 for t in a}
             assert effective_resistance_to_set(net, x, a) == dense_potentials(net, grounded, {x: 1})[x]
+            # R(x, A) = G_{V-A}(x, x) / c_x: the network and chain users of
+            # the one elimination agree
+            green = green_diagonal(walk_from_network(net), frozenset(rest), x)
+            assert net.weight(x) * effective_resistance_to_set(net, x, a) == green
+            assert trace_network(net, a | {x}).conductances == dense_trace(net, a | {x})
             times = dense_potentials(net, grounded, {v: net.weight(v) for v in rest})
             for v in net.vertices:
                 assert expected_exit_time(net, v, a) == times[v]
