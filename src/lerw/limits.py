@@ -26,7 +26,7 @@ from .fractal import (
     to_xy,
     uniform_network,
 )
-from .network import ElectricalNetwork, effective_resistance, hitting_distribution, laplacian
+from .network import ElectricalNetwork, effective_resistance, laplacian, trace_network
 
 
 def hausdorff(a, b, metric=None):
@@ -302,6 +302,14 @@ def _family_graph(kind: str, m: int, template=None) -> FractalGraph:
     raise ValueError(f"unknown graph family {kind!r}")
 
 
+def _check_corner(kind: str, corners: tuple, c: int):
+    if not 0 <= c < len(corners):
+        raise ValueError(
+            f"corner index {c} is out of range: the {kind} has {len(corners)} corners, "
+            f"0..{len(corners) - 1}"
+        )
+
+
 def resistance_scaling(
     kind: str,
     m_values: Iterable,
@@ -318,23 +326,38 @@ def resistance_scaling(
     A declared band checks ratio stability per pair (max/min - 1 must
     not exceed it); the measured spread and a pass/fail flag are part of
     the result so callers can report the violation instead of crashing.
+
+    Each level is traced once onto the corners the probes use; a trace
+    keeps every effective resistance among the kept vertices, so each
+    pair is read off the small traced network. Rational values are
+    exact. Corner indices outside the graph's corners, pairs of one
+    corner with itself and an empty pair list raise ValueError.
     """
     ms = sorted(m_values)
     if not ms:
         raise ValueError("need at least one level")
+    if pairs is not None:
+        if not pairs:
+            raise ValueError("need at least one probe pair")
+        for ci, cj in pairs:
+            if ci == cj:
+                raise ValueError(f"probe pair {ci}-{cj} needs two distinct corners")
     base = 2 if kind == "gasket" else (template.k if template else None)
     rows = []
     per_pair: dict = {}
     for m in ms:
         g = _family_graph(kind, m, template)
-        net = uniform_network(g, mode)
         corners = corner_indices(g)
         xy = to_xy(g)
         probe = pairs if pairs is not None else [
             (i, j) for i in range(len(corners)) for j in range(i + 1, len(corners))
         ]
+        used = {c for pair in probe for c in pair}
+        for c in sorted(used):
+            _check_corner(kind, corners, c)
+        traced = trace_network(uniform_network(g, mode), [corners[c] for c in used])
         for ci, cj in probe:
-            r = effective_resistance(net, corners[ci], corners[cj])
+            r = effective_resistance(traced, corners[ci], corners[cj])
             rho = float(np.hypot(*(xy[corners[ci]] - xy[corners[cj]])))
             rows.append({"level": m, "pair": (ci, cj), "resistance": r, "rho": rho})
             per_pair.setdefault((ci, cj), {})[m] = (r, rho)
@@ -379,26 +402,31 @@ def kernel_convergence(
     Rows are exclude-current hitting distributions; the killing corner is
     part of the traced vertex set, so its column is the absorbed mass.
     Entries are keyed by exact coordinates, comparable across levels.
+
+    Each level m' is traced once onto V_m: the walk watched on V_m is
+    the walk of the traced network, so row v is c'(v, u) / c'_v for
+    every other u in V_m, zeros included. A killing corner index outside
+    the graph's corners raises ValueError.
     """
     mps = sorted(m_primes)
     if not mps or mps[0] < m:
         raise ValueError("need levels m' >= m")
-    base_grid = _family_graph(kind, m, template).grid
+    base = _family_graph(kind, m, template)
+    _check_corner(kind, corner_indices(base), y_corner)
     kernels = []
     for mp in mps:
         g = _family_graph(kind, mp, template)
-        net = uniform_network(g, "double")
         vset = sorted(g.nested[m])
-        coord = {v: g.vertices[v] for v in vset}
-        scale = g.grid // base_grid
-        key_of = {v: (coord[v][0] // scale, coord[v][1] // scale) for v in vset}
+        traced = trace_network(uniform_network(g, "double"), vset)
+        scale = g.grid // base.grid
+        key_of = {v: (g.vertices[v][0] // scale, g.vertices[v][1] // scale) for v in vset}
         y = corner_indices(g)[y_corner]
         rows = {}
         for v in vset:
             if v == y:
                 continue
-            hm = hitting_distribution(net, v, [u for u in vset if u != v])
-            rows[key_of[v]] = {key_of[u]: p for u, p in hm.items()}
+            cv = traced.weight(v)
+            rows[key_of[v]] = {key_of[u]: traced.conductance(v, u) / cv for u in vset if u != v}
         kernels.append({"m_prime": mp, "rows": rows})
 
     diffs = []

@@ -94,7 +94,39 @@ class TestResist:
             assert float(cell) == res["ratios"][i, j][0]
 
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("0-7", "corner index 7 is out of range: the carpet has 4 corners, 0..3"),
+            ("1-1", "probe pair 1-1 needs two distinct corners"),
+        ],
+    )
+    def test_bad_probe_pair_exits_two(self, tmp_path, capsys, pair, message):
+        code = main(
+            ["resist", "--carpet", "standard", "-m", "1..2", "--pair", pair,
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestConverge:
+    @pytest.mark.parametrize(
+        "family, corner, message",
+        [
+            (["--carpet", "standard"], "9", "corner index 9 is out of range: the carpet has 4 corners"),
+            (["--gasket"], "3", "corner index 3 is out of range: the gasket has 3 corners"),
+        ],
+        ids=["carpet", "gasket"],
+    )
+    def test_bad_killing_corner_exits_two(self, tmp_path, capsys, family, corner, message):
+        code = main(
+            ["converge", "--what", "kernel", *family, "-m", "1", "--m-primes", "1..2",
+             "--corner", corner, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_kernel_decreasing(self, tmp_path):
         code = main(
             ["converge", "--what", "kernel", "--carpet", "standard", "-m", "1",

@@ -34,7 +34,13 @@ from lerw.limits import (
     set_law_from_text,
     set_law_to_text,
 )
-from lerw.network import build_network, walk_from_network
+import lerw.network
+from lerw.network import (
+    build_network,
+    effective_resistance,
+    hitting_distribution,
+    walk_from_network,
+)
 
 
 def law(kind, grid, atoms):
@@ -381,6 +387,68 @@ class TestResistanceScaling:
         with pytest.raises(ValueError):
             resistance_scaling("gasket", [])
 
+    @pytest.mark.parametrize(
+        "kind, levels, single",
+        [("gasket", range(4), (0, 2)), ("carpet", (1, 2), (0, 3))],
+        ids=["gasket", "carpet"],
+    )
+    def test_rational_values_equal_untraced_solves(self, kind, levels, single):
+        template = standard_carpet() if kind == "carpet" else None
+        for pairs in (None, [single]):
+            res = resistance_scaling(kind, levels, template=template, mode="rational", pairs=pairs)
+            for m in levels:
+                g = gasket_graph(m) if kind == "gasket" else carpet_graph(template, m)
+                net = uniform_network(g, "rational")
+                c = corner_indices(g)
+                rows = [r for r in res["rows"] if r["level"] == m]
+                want = pairs or [(i, j) for i in range(len(c)) for j in range(i + 1, len(c))]
+                assert [r["pair"] for r in rows] == want
+                for r in rows:
+                    i, j = r["pair"]
+                    assert type(r["resistance"]) is Fraction
+                    assert r["resistance"] == effective_resistance(net, c[i], c[j])
+
+    def test_double_values_match_untraced_solves(self):
+        template = standard_carpet()
+        res = resistance_scaling("carpet", range(1, 5), template=template)
+        for m in range(1, 5):
+            g = carpet_graph(template, m)
+            net = uniform_network(g, "double")
+            c = corner_indices(g)
+            for r in (r for r in res["rows"] if r["level"] == m):
+                want = effective_resistance(net, c[r["pair"][0]], c[r["pair"][1]])
+                assert abs(r["resistance"] - want) <= 1e-12 * want
+
+    def test_one_factorization_per_level(self, monkeypatch):
+        # every other solve runs on the traced network of four corners
+        sizes = []
+        solve = lerw.network._solve_block
+
+        def counted(net, idx, rhs):
+            sizes.append(net.n)
+            return solve(net, idx, rhs)
+
+        monkeypatch.setattr(lerw.network, "_solve_block", counted)
+        resistance_scaling("carpet", (2, 3), template=standard_carpet())
+        assert sorted(n for n in sizes if n > 4) == [
+            carpet_graph(standard_carpet(), m).n for m in (2, 3)
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, pairs, match",
+        [
+            ("carpet", [(0, 7)], "corner index 7 is out of range: the carpet has 4 corners"),
+            ("gasket", [(3, 0)], "corner index 3 is out of range: the gasket has 3 corners"),
+            ("carpet", [(-1, 2)], "corner index -1 is out of range"),
+            ("carpet", [(1, 1)], "probe pair 1-1 needs two distinct corners"),
+            ("carpet", [], "need at least one probe pair"),
+        ],
+    )
+    def test_bad_probe_pairs_are_named(self, kind, pairs, match):
+        template = standard_carpet() if kind == "carpet" else None
+        with pytest.raises(ValueError, match=match):
+            resistance_scaling(kind, (1, 2), template=template, pairs=pairs)
+
 
 class TestKernelConvergence:
     def test_identity_trace_is_one_step_walk(self):
@@ -425,3 +493,42 @@ class TestKernelConvergence:
     def test_levels_below_m_rejected(self):
         with pytest.raises(ValueError):
             kernel_convergence("gasket", 2, 0, [1])
+
+    @pytest.mark.parametrize(
+        "kind, y_corners, m_primes",
+        [("carpet", (0, 3), (1, 2, 3, 4)), ("gasket", (0,), (1, 2, 3))],
+        ids=["carpet", "gasket"],
+    )
+    def test_rows_equal_per_row_hitting_distributions(self, kind, y_corners, m_primes):
+        # the old definition, one Dirichlet solve per row, is the oracle
+        template = standard_carpet() if kind == "carpet" else None
+        base = (gasket_graph(1) if kind == "gasket" else carpet_graph(template, 1)).grid
+        oracle = {}  # m' -> (row key -> row over the other keys, corner keys)
+        for mp in m_primes:
+            g = gasket_graph(mp) if kind == "gasket" else carpet_graph(template, mp)
+            net = uniform_network(g, "double")
+            vset = sorted(g.nested[1])
+            key = {v: tuple(c // (g.grid // base) for c in g.vertices[v]) for v in vset}
+            rows = {}
+            for v in vset:
+                hm = hitting_distribution(net, v, [u for u in vset if u != v])
+                rows[key[v]] = {key[u]: p for u, p in hm.items()}
+            oracle[mp] = rows, [key[c] for c in corner_indices(g)]
+        for y in y_corners:
+            out = kernel_convergence(kind, 1, y, m_primes, template=template)
+            for entry in out["kernels"]:
+                want, corners = oracle[entry["m_prime"]]
+                rows = entry["rows"]
+                assert list(rows) == [k for k in want if k != corners[y]]
+                for rk, row in rows.items():
+                    assert list(row) == list(want[rk])
+                    if entry["m_prime"] == 1:
+                        assert row == want[rk]
+                    else:
+                        assert max(abs(p - want[rk][ck]) for ck, p in row.items()) <= 1e-12
+
+    @pytest.mark.parametrize("kind, corner, count", [("carpet", 9, 4), ("gasket", 3, 3)])
+    def test_killing_corner_out_of_range(self, kind, corner, count):
+        template = standard_carpet() if kind == "carpet" else None
+        with pytest.raises(ValueError, match=f"corner index {corner} .* has {count} corners"):
+            kernel_convergence(kind, 1, corner, [1, 2], template=template)
