@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable
 
 import numpy as np
@@ -231,7 +231,13 @@ def gasket_graph(m: int, max_vertices: int = MAX_VERTICES) -> FractalGraph:
 def carpet_graph(
     template: CarpetTemplate, m: int, max_vertices: int = MAX_VERTICES
 ) -> FractalGraph:
-    """Level-m carpet graph: corners of kept cells, edges at distance k^-m."""
+    """Level-m carpet graph: corners of kept cells, edges at distance k^-m.
+
+    Built with array operations. Vertices come in order of first
+    appearance among the cells' corners, cells in address order; edges
+    are sorted index pairs; level j keeps the corners of the level-j
+    cells.
+    """
     bad = validate_carpet_template(template)
     if bad:
         raise ValueError("invalid carpet template: " + "; ".join(bad))
@@ -239,38 +245,52 @@ def carpet_graph(
         raise ValueError("level must be >= 0")
     k = template.k
     _guard(4 * len(template.cells) ** m, max_vertices)
-    offsets = sorted((i - 1, j - 1) for i, j in template.cells)
-
-    def bases(depth: int) -> list:
-        out = [(0, 0)]
-        for _ in range(depth):
-            out = [(x * k + dx, y * k + dy) for x, y in out for dx, dy in offsets]
-        return out
+    ox, oy = np.array(sorted((i - 1, j - 1) for i, j in template.cells)).T
+    # lower-left corners of the level-j cells, for j = 0..m, in the order
+    # of the address words (first letter slowest, letters in offset order)
+    bases = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))]
+    for _ in range(m):
+        bx, by = bases[-1]
+        bases.append(((bx[:, None] * k + ox).ravel(), (by[:, None] * k + oy).ravel()))
 
     grid = k**m
-    index: dict = {}
-    vertices: list = []
-    for x, y in bases(m):
-        for p in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
-            if p not in index:
-                index[p] = len(vertices)
-                vertices.append(p)
-    edges = set()
-    for (x, y), i in index.items():
-        for q in ((x + 1, y), (x, y + 1)):
-            j = index.get(q)
-            if j is not None:
-                edges.add((i, j) if i < j else (j, i))
+    side = grid + 1  # point (x, y) has the integer key x * side + y
 
-    nested = []
-    for j in range(m + 1):
-        scale = k ** (m - j)
-        level = set()
-        for x, y in bases(j):
-            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                level.add(index[((x + dx) * scale, (y + dy) * scale)])
-        nested.append(frozenset(level))
-    return FractalGraph("carpet", m, grid, tuple(vertices), tuple(sorted(edges)), tuple(nested))
+    def corner_keys(bx, by, scale):
+        """Keys of every cell's four corners, cell by cell, on the level-m grid."""
+        x = (bx[:, None] + (0, 1, 0, 1)) * scale
+        y = (by[:, None] + (0, 0, 1, 1)) * scale
+        return (x * side + y).ravel()
+
+    # vertices in order of first appearance among the cell corners
+    keys = corner_keys(*bases[m], 1)
+    uniq, first = np.unique(keys, return_index=True)
+    vkeys = keys[np.sort(first)]
+    vid = np.empty(len(uniq), dtype=np.int64)
+    vid[np.searchsorted(uniq, vkeys)] = np.arange(len(vkeys))
+
+    def lookup(q):
+        """Vertex index of each key in q, or -1 where q is no vertex."""
+        r = np.minimum(np.searchsorted(uniq, q), len(uniq) - 1)
+        return np.where(uniq[r] == q, vid[r], -1)
+
+    vx, vy = np.divmod(vkeys, side)
+    ends = []
+    for step, inside in ((side, vx < grid), (1, vy < grid)):  # right, up
+        i = np.flatnonzero(inside)
+        j = lookup(vkeys[i] + step)
+        hit = j >= 0
+        ends.append((i[hit], j[hit]))
+    a = np.concatenate([np.minimum(i, j) for i, j in ends])
+    b = np.concatenate([np.maximum(i, j) for i, j in ends])
+    order = np.lexsort((b, a))
+    edges = tuple(zip(a[order].tolist(), b[order].tolist()))
+
+    nested = tuple(
+        frozenset(lookup(corner_keys(*bases[j], k ** (m - j))).tolist()) for j in range(m + 1)
+    )
+    vertices = tuple(zip(vx.tolist(), vy.tolist()))
+    return FractalGraph("carpet", m, grid, vertices, edges, nested)
 
 
 def corner_indices(graph: FractalGraph) -> tuple:
@@ -286,9 +306,10 @@ def corner_indices(graph: FractalGraph) -> tuple:
 
 def uniform_network(graph: FractalGraph, mode: str = "rational") -> ElectricalNetwork:
     """Unit conductances on the graph's edges; the walk is the SRW."""
-    one = Fraction(1) if mode == "rational" else 1.0
-    cond = {frozenset(e): one for e in graph.edges}
-    return ElectricalNetwork(tuple(range(graph.n)), cond, mode)
+    m = len(graph.edges)
+    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * m)
+    ones = np.ones(m) if mode == "double" else (Fraction(1),) * m
+    return ElectricalNetwork._from_arrays(range(graph.n), ends, ones, mode)
 
 
 def adjacency_arrays(graph: FractalGraph):

@@ -7,15 +7,15 @@ solves them exactly with `_exact.eliminate`, the GTH reduction the chain
 laws use: vertices are integer rows carrying their currents as loads, a
 Dirichlet solve back-substitutes the eliminated rows and a trace reads
 the kept rows as the traced walk. Double mode builds one CSR Laplacian
-per network and solves every problem with a sparse LU whose residual is
-checked.
+per network from its edge arrays and solves every problem with a
+symmetric-ordered sparse LU, refined once, whose residual is checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -24,58 +24,142 @@ from ._exact import SingularSystemError, check_residual, eliminate
 from .chain import MarkovChain, build_chain
 
 
-@dataclass(frozen=True)
 class ElectricalNetwork:
-    vertices: tuple
-    conductances: dict
-    mode: str = "rational"
+    """A connected network of positive conductances on named vertices.
 
-    def __post_init__(self):
-        if self.mode not in ("rational", "double"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        adj = {v: [] for v in self.vertices}
-        for key, c in self.conductances.items():
+    Edges have one form: `_ends`, an (m, 2) array of vertex positions,
+    and `_values`, their conductances in the same order (a float array in
+    double mode, a tuple in rational mode). The constructor parses a dict
+    keyed by unordered vertex pairs into it; `uniform_network` and the
+    double trace hand arrays straight to `_from_arrays`. Vertex weights
+    are summed in edge order, so they do not depend on which way an edge
+    came in. The `conductances` dict and the neighbour lists are built
+    from the arrays when first read. A network is not changed after
+    construction.
+    """
+
+    def __init__(self, vertices: Iterable, conductances: Mapping, mode: str = "rational"):
+        self._set_vertices(vertices, mode)
+        ends = []
+        for key in conductances:
             if not isinstance(key, frozenset) or len(key) != 2:
                 raise ValueError(f"conductance key {key!r} is not an unordered pair")
-            if not key <= vs:
+            if not all(v in self._pos for v in key):
                 raise ValueError(f"conductance key {key!r} leaves the vertex set")
-            if c <= 0:
-                raise ValueError(f"conductance on {sorted(key, key=repr)!r} must be positive")
-            x, y = key
-            adj[x].append((y, c))
-            adj[y].append((x, c))
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_adj", {v: tuple(nb) for v, nb in adj.items()})
-        object.__setattr__(self, "_weight", {v: sum(c for _, c in nb) for v, nb in adj.items()})
+            ends.append([self._pos[v] for v in key])
+        self._set_edges(np.array(ends, dtype=np.int64).reshape(-1, 2), tuple(conductances.values()))
+
+    @classmethod
+    def _from_arrays(cls, vertices: Iterable, ends, values, mode: str) -> "ElectricalNetwork":
+        """The network with edge i joining positions ends[i] at conductance values[i]."""
+        net = cls.__new__(cls)
+        net._set_vertices(vertices, mode)
+        net._set_edges(np.asarray(ends, dtype=np.int64).reshape(-1, 2), values)
+        return net
+
+    def _set_vertices(self, vertices: Iterable, mode: str):
+        if mode not in ("rational", "double"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.mode = mode
+        self.vertices = tuple(vertices)
+        self._pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._pos) != len(self.vertices):
+            raise ValueError("duplicate vertices")
+
+    def _set_edges(self, ends: np.ndarray, values):
+        n, vs = self.n, self.vertices
+        double = self.mode == "double"
+        values = np.asarray(values, dtype=float) if double else tuple(values)
+        lo, hi = ends.min(1), ends.max(1)
+        if (i := _first((lo < 0) | (hi >= n))) is not None:
+            raise ValueError(f"conductance key {tuple(ends[i].tolist())!r} leaves the vertex set")
+        if (i := _first(lo == hi)) is not None:
+            raise ValueError(f"conductance key {frozenset((vs[lo[i]],))!r} is not an unordered pair")
+        pairs = np.sort(lo * n + hi)
+        if (i := _first(pairs[1:] == pairs[:-1])) is not None:
+            a, b = divmod(int(pairs[i]), n)
+            raise ValueError(f"duplicate edge {vs[a]!r}-{vs[b]!r}")
+        positive = values > 0 if double else np.array([c > 0 for c in values], dtype=bool)
+        if (i := _first(~positive)) is not None:
+            key = (vs[lo[i]], vs[hi[i]])
+            raise ValueError(f"conductance on {sorted(key, key=repr)!r} must be positive")
+        self._ends, self._values = ends, values
+        if double:
+            self._weights = np.bincount(
+                ends.ravel(), weights=np.repeat(values, 2), minlength=n
+            ).tolist()
+        else:
+            self._weights = [0] * n
+            for (a, b), c in zip(ends.tolist(), values):
+                self._weights[a] += c
+                self._weights[b] += c
         # connectivity is part of the type: every solve below assumes it
-        if self.vertices:
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                for y, _ in self._adj[stack.pop()]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(self.vertices):
-                raise ValueError("network is not connected")
+        if not _connected(n, ends):
+            raise ValueError("network is not connected")
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    def _edges(self):
+        """(x, y, c) per edge in edge order, with Python scalars."""
+        vs = self.vertices
+        values = self._values.tolist() if self.mode == "double" else self._values
+        return ((vs[a], vs[b], c) for (a, b), c in zip(self._ends.tolist(), values))
+
+    @cached_property
+    def conductances(self) -> dict:
+        """Conductance per unordered vertex pair, in edge order."""
+        return {frozenset((x, y)): c for x, y, c in self._edges()}
+
+    @cached_property
+    def _adj(self) -> dict:
+        adj = {v: [] for v in self.vertices}
+        for x, y, c in self._edges():
+            adj[x].append((y, c))
+            adj[y].append((x, c))
+        return {v: tuple(nb) for v, nb in adj.items()}
 
     def neighbors(self, x):
         return self._adj[x]
 
     def weight(self, x):
         """Total conductance c_x at a vertex."""
-        return self._weight[x]
+        return self._weights[self._pos[x]]
 
     def conductance(self, x, y):
         zero = Fraction(0) if self.mode == "rational" else 0.0
         return self.conductances.get(frozenset((x, y)), zero)
+
+
+def _first(mask: np.ndarray):
+    """Index of the first true entry of mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _connected(n: int, ends: np.ndarray) -> bool:
+    """Whether the edges ends (position pairs) join all n vertices.
+
+    Each vertex carries a label, at most its own position, of a vertex in
+    its component. A round hooks every root to the smallest root across
+    its edges and then shortcuts labels to roots; each round that leaves
+    an edge between two roots merges at least two of them, and on
+    fractal vertex orders two rounds suffice.
+    """
+    a, b = ends[:, 0], ends[:, 1]
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return bool((label == 0).all())
+        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
 def build_network(edges: Iterable, mode: str = "rational") -> ElectricalNetwork:
@@ -161,40 +245,46 @@ def _positions(net: ElectricalNetwork, vs: Iterable) -> list:
 def laplacian(net: ElectricalNetwork):
     """The float graph Laplacian in vertex order, as a CSR matrix.
 
-    Built once per network from the conductances as arrays; every
-    double-mode solve takes its blocks from this one matrix.
+    Built once per network from its edge arrays; every double-mode solve
+    takes its blocks from this one matrix.
     """
     lap = getattr(net, "_laplacian", None)
     if lap is None:
         from scipy.sparse import csr_matrix
 
-        n, m = net.n, len(net.conductances)
-        ends = np.fromiter(
-            (net._pos[v] for key in net.conductances for v in key), dtype=np.int64, count=2 * m
-        ).reshape(m, 2)
-        c = np.fromiter((float(c) for c in net.conductances.values()), dtype=float, count=m)
+        n, (a, b) = net.n, net._ends.T
+        c = np.asarray(net._values, dtype=float)
         diag = np.arange(n)
-        rows = np.concatenate([ends[:, 0], ends[:, 1], diag])
-        cols = np.concatenate([ends[:, 1], ends[:, 0], diag])
-        weights = np.fromiter((float(net.weight(v)) for v in net.vertices), dtype=float, count=n)
+        rows = np.concatenate([a, b, diag])
+        cols = np.concatenate([b, a, diag])
+        weights = np.asarray(net._weights, dtype=float)
         lap = csr_matrix((np.concatenate([-c, -c, weights]), (rows, cols)), shape=(n, n))
-        object.__setattr__(net, "_laplacian", lap)
+        net._laplacian = lap
     return lap
 
 
 def _solve_block(net: ElectricalNetwork, idx: list, rhs: np.ndarray) -> np.ndarray:
     """Solve L[idx, idx] u = rhs with one sparse LU for all columns of rhs.
 
-    Raises SingularSystemError when the factorization fails or when
-    `check_residual` refuses the solution.
+    The block of a connected network is symmetric positive definite, so
+    the LU pivots on the diagonal in a minimum degree order of A + A^T,
+    which fills in far less than the default column order. Its solution
+    is refined once: that order alone loses digits on long chains of
+    vertices (gasket level 7 corner resistance: 2.0e-12 relative error
+    unrefined, 2.8e-14 refined). The LU's own solution and the refined
+    one must both pass `check_residual`; SingularSystemError otherwise,
+    or when the factorization fails.
     """
     from scipy.sparse.linalg import splu
 
     a = laplacian(net)[idx][:, idx].tocsc()
     try:
-        u = splu(a).solve(rhs)
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from None
+    u = lu.solve(rhs)
+    check_residual(a, u, rhs)
+    u += lu.solve(rhs - a @ u)
     check_residual(a, u, rhs)
     return u
 
@@ -212,7 +302,7 @@ def _eliminate_rows(net: ElectricalNetwork, rows: list, keep=(), current: Mappin
     """
     idx = {v: i for i, v in enumerate(rows)}
     current = {v: Fraction(f) for v, f in current.items()}
-    scale = math.lcm(*(c.denominator for c in [*net.conductances.values(), *current.values()]))
+    scale = math.lcm(*(c.denominator for c in [*net._values, *current.values()]))
     out, sinks = [], []
     for v in rows:
         row, sink = {}, {}
@@ -360,7 +450,7 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     kept = [v for v in net.vertices if v in kset]
     drop = [v for v in net.vertices if v not in kset]
     if not drop:
-        return ElectricalNetwork(tuple(kept), dict(net.conductances), net.mode)
+        return net
 
     cond = {}
     if net.mode == "rational":
@@ -380,13 +470,12 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
         schur = lap[ki][:, ki].toarray() - lap[ki][:, oi] @ _solve_block(
             net, oi, lap[oi][:, ki].toarray()
         )
-        nk = len(kept)
         scale = max(abs(schur).max(), 1.0)
-        for i in range(nk):
-            for j in range(i + 1, nk):
-                c = -0.5 * (schur[i, j] + schur[j, i])
-                if c > 1e-13 * scale:
-                    cond[frozenset((kept[i], kept[j]))] = float(c)
+        c = schur + schur.T
+        c *= -0.5
+        # kept pairs i < j in row order, as the conductances read
+        i, j = np.nonzero(np.triu(c > 1e-13 * scale, 1))
+        return ElectricalNetwork._from_arrays(kept, np.column_stack([i, j]), c[i, j], "double")
     # the constructor re-checks connectivity, which a trace of a
     # connected network can never lose
     return ElectricalNetwork(tuple(kept), cond, net.mode)

@@ -8,6 +8,7 @@ import pytest
 
 from lerw.fractal import (
     CarpetTemplate,
+    FractalGraph,
     adjacency_arrays,
     carpet_graph,
     corner_indices,
@@ -20,7 +21,53 @@ from lerw.fractal import (
     uniform_network,
     validate_carpet_template,
 )
-from lerw.network import effective_resistance
+from lerw.network import ElectricalNetwork, effective_resistance, laplacian
+
+
+def reference_carpet_graph(template: CarpetTemplate, m: int) -> FractalGraph:
+    """The dict-and-set carpet builder that `carpet_graph` vectorizes:
+    vertices are the cells' corners in order of first appearance, an edge
+    joins two vertices at distance 1, and level j keeps the corners of
+    the level-j cells."""
+    k = template.k
+    offsets = sorted((i - 1, j - 1) for i, j in template.cells)
+
+    def bases(depth: int) -> list:
+        out = [(0, 0)]
+        for _ in range(depth):
+            out = [(x * k + dx, y * k + dy) for x, y in out for dx, dy in offsets]
+        return out
+
+    index: dict = {}
+    vertices: list = []
+    for x, y in bases(m):
+        for p in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
+            if p not in index:
+                index[p] = len(vertices)
+                vertices.append(p)
+    edges = set()
+    for (x, y), i in index.items():
+        for q in ((x + 1, y), (x, y + 1)):
+            j = index.get(q)
+            if j is not None:
+                edges.add((i, j) if i < j else (j, i))
+    nested = []
+    for j in range(m + 1):
+        scale = k ** (m - j)
+        level = set()
+        for x, y in bases(j):
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                level.add(index[((x + dx) * scale, (y + dy) * scale)])
+        nested.append(frozenset(level))
+    return FractalGraph("carpet", m, k**m, tuple(vertices), tuple(sorted(edges)), tuple(nested))
+
+
+def ring_template(k: int) -> CarpetTemplate:
+    """The side-k border ring: every cell on the border, the rest removed."""
+    cells = frozenset(
+        (i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i in (1, k) or j in (1, k)
+    )
+    return CarpetTemplate(k, cells)
 
 
 class TestGasket:
@@ -179,6 +226,18 @@ class TestCarpet:
         with pytest.raises(ValueError, match="invalid carpet template"):
             carpet_graph(CarpetTemplate(3, cells), 1)
 
+    @pytest.mark.parametrize(
+        "template, m",
+        [(standard_carpet(), m) for m in range(6)] + [(ring_template(4), m) for m in range(4)],
+    )
+    def test_equals_reference_builder(self, template, m):
+        g = carpet_graph(template, m)
+        ref = reference_carpet_graph(template, m)
+        assert g.vertices == ref.vertices
+        assert g.edges == ref.edges
+        assert g.nested == ref.nested
+        assert g == ref
+
     def test_coordinates_exact(self):
         g = carpet_graph(standard_carpet(), 2)
         coords = g.coordinates()
@@ -207,6 +266,51 @@ class TestGraphPlumbing:
             row = nbr[indptr[v] : indptr[v + 1]]
             assert sorted(row) == list(row)
             assert len(row) == len(net.neighbors(v))
+
+    @pytest.mark.parametrize("mode", ["rational", "double"])
+    @pytest.mark.parametrize("kind, m", [(kind, m) for kind in ("gasket", "carpet") for m in range(4)])
+    def test_uniform_network_matches_dict_built(self, kind, m, mode):
+        g = gasket_graph(m) if kind == "gasket" else carpet_graph(standard_carpet(), m)
+        one = Fraction(1) if mode == "rational" else 1.0
+        cond = {frozenset(e): one for e in g.edges}
+        ref = ElectricalNetwork(tuple(range(g.n)), cond, mode)
+        net = uniform_network(g, mode)
+        assert net.vertices == ref.vertices == tuple(range(g.n))
+        assert list(net.conductances.items()) == list(ref.conductances.items()) == list(cond.items())
+        # neighbours in edge order and weights summed in edge order, as
+        # the dict and the edge list give them
+        adj = {v: [] for v in range(g.n)}
+        for a, b in g.edges:
+            adj[a].append((b, one))
+            adj[b].append((a, one))
+        for v in range(g.n):
+            assert net.neighbors(v) == ref.neighbors(v) == tuple(adj[v])
+            want = sum(c for _, c in adj[v])
+            assert net.weight(v) == ref.weight(v) == want
+            assert type(net.weight(v)) is type(ref.weight(v)) is type(want)
+        lap, lap_ref = laplacian(net), laplacian(ref)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lap, part), getattr(lap_ref, part))
+        dense = np.zeros((g.n, g.n))
+        for a, b in g.edges:
+            dense[[a, b], [b, a]] = -1.0
+        dense[np.diag_indices(g.n)] = -dense.sum(1)
+        assert np.array_equal(lap.toarray(), dense)
+
+    def test_uniform_network_rejects_bad_edges(self):
+        def stub(edges, n=3):
+            verts = tuple((i, 0) for i in range(n))
+            return FractalGraph("carpet", 0, 1, verts, tuple(edges), (frozenset(range(n)),))
+
+        for edges, msg in (
+            ([(0, 1), (1, 1), (1, 2)], r"frozenset\(\{1\}\) is not an unordered pair"),
+            ([(0, 1), (1, 5)], r"\(1, 5\) leaves the vertex set"),
+            ([(0, 1), (1, 2), (2, 1)], "duplicate edge 1-2"),
+            ([(0, 1)], "not connected"),
+        ):
+            for mode in ("rational", "double"):
+                with pytest.raises(ValueError, match=msg):
+                    uniform_network(stub(edges), mode)
 
     def test_export_format(self):
         g = gasket_graph(1)

@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -299,6 +303,25 @@ class TestLerwSetLaw:
 
 
 class TestCoupledRefinement:
+    def test_sampling_never_imports_scipy(self):
+        # scipy.sparse adds about 20 MB to a process that only samples
+        code = """
+import sys
+from lerw.fractal import carpet_graph, corner_indices, standard_carpet, uniform_network
+from lerw.limits import WalkConfig, coupled_refinement_distance
+from lerw.network import walk_from_network
+g = carpet_graph(standard_carpet(), 3)
+c = corner_indices(g)
+coupled_refinement_distance(WalkConfig(g, 1), 2, c[0], [c[3]], 20)
+walk_from_network(uniform_network(g, "double"))
+assert "lerw.limits" in sys.modules
+assert "scipy.sparse" not in sys.modules, "sampling imported scipy.sparse"
+"""
+        src = str(Path(lerw.network.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     def test_stage_at_graph_level_gives_zero(self):
         g = carpet_graph(standard_carpet(), 2)
         c = corner_indices(g)

@@ -63,6 +63,36 @@ class TestConstruction:
         with pytest.raises(ValueError, match="pair"):
             ElectricalNetwork(("a", "b"), {frozenset("a"): Fraction(1)})
 
+    def test_rejects_bad_vertices_and_keys(self):
+        one = Fraction(1)
+        with pytest.raises(ValueError, match="duplicate vertices"):
+            ElectricalNetwork(("a", "b", "a"), {frozenset("ab"): one})
+        with pytest.raises(ValueError, match="unknown mode"):
+            ElectricalNetwork(("a", "b"), {frozenset("ab"): one}, "float")
+        with pytest.raises(ValueError, match=r"frozenset\(\{'a'\}\) is not an unordered pair"):
+            ElectricalNetwork(("a", "b"), {frozenset("ab"): one, frozenset("a"): one})
+        with pytest.raises(ValueError, match="leaves the vertex set"):
+            ElectricalNetwork(("a", "b"), {frozenset("ab"): one, frozenset("bz"): one})
+        for mode, bad in (("rational", Fraction(-1, 2)), ("double", 0.0), ("double", math.nan)):
+            with pytest.raises(ValueError, match=r"conductance on \['b', 'c'\] must be positive"):
+                ElectricalNetwork(("a", "b", "c"), {frozenset("ab"): 1, frozenset("bc"): bad}, mode)
+
+    def test_weights_sum_neighbours_in_edge_order(self):
+        # bit for bit, as summing each vertex's neighbour list does
+        rng = Random(5)
+        for _ in range(20):
+            net = random_network(rng, rng.randint(3, 9), extra_edges=6)
+            dnet = ElectricalNetwork(
+                net.vertices, {k: rng.random() + 0.1 for k in net.conductances}, "double"
+            )
+            for v in dnet.vertices:
+                assert dnet.weight(v) == sum(c for _, c in dnet.neighbors(v))
+                assert type(dnet.weight(v)) is float
+
+    def test_single_vertex_network(self):
+        net = ElectricalNetwork(("a",), {})
+        assert net.n == 1 and net.weight("a") == 0 and net.conductances == {}
+
     def test_text_roundtrip(self):
         net = build_network([("a", "b", Fraction(3, 2)), ("b", "c", 2)])
         back = network_from_text(network_to_text(net))
@@ -244,17 +274,22 @@ class TestTrace:
 
     def test_double_agrees_with_rational(self):
         rng = Random(34)
-        net = random_network(rng, 7, extra_edges=4)
-        dnet = ElectricalNetwork(
-            net.vertices,
-            {k: float(c) for k, c in net.conductances.items()},
-            "double",
-        )
-        keep = ("a", "b", "c")
-        t_exact = trace_network(net, keep)
-        t_double = trace_network(dnet, keep)
-        for key, c in t_exact.conductances.items():
-            assert abs(t_double.conductances[key] - float(c)) < 1e-10
+        for trial in range(11):
+            net = random_network(rng, 7, extra_edges=4)
+            keep = ("a", "b", "c") if trial == 0 else tuple("abcdefg"[: rng.randint(3, 6)])
+            dnet = ElectricalNetwork(
+                net.vertices,
+                {k: float(c) for k, c in net.conductances.items()},
+                "double",
+            )
+            t_exact = trace_network(net, keep)
+            t_double = trace_network(dnet, keep)
+            for key, c in t_exact.conductances.items():
+                assert abs(t_double.conductances[key] - float(c)) < 1e-10
+            # the same pairs, in kept-vertex order: row by row, i < j
+            kept = [v for v in net.vertices if v in keep]
+            rows = [frozenset((x, y)) for i, x in enumerate(kept) for y in kept[i + 1 :]]
+            assert list(t_double.conductances) == [k for k in rows if k in t_exact.conductances]
 
     def test_sparse_branch(self):
         t = trace_network(long_path(1200), {"p0", "p1200"})
@@ -500,8 +535,8 @@ class TestResidualCheck:
         class Skewed:
             """An LU whose solutions are off by one part in a million."""
 
-            def __init__(self, a):
-                self.lu = real(a)
+            def __init__(self, a, **kwargs):
+                self.lu = real(a, **kwargs)
 
             def solve(self, b):
                 return self.lu.solve(b) * (1 + 1e-6)
