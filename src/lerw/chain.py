@@ -6,9 +6,11 @@ exact; mode "double" keeps floats.  Paths are plain tuples of states.
 
 Sampling uses counter-based Philox streams keyed by (master_seed,
 trajectory_index), so trajectory i is the same bit-for-bit in whatever
-order trajectories are drawn.  One walk loop, `_walk`, draws every
-trajectory in the package: chain walks here and fractal graph walks in
-`limits`.  Trajectories run one after another in the calling thread.
+order trajectories are drawn.  Two loops draw them, both in the calling
+thread and both reading row v's step as nbrs[v][bisect_right(cums[v], u)]:
+`_walk` draws one trajectory (every chain walk), and `_walk_many` steps a
+pool of fractal graph walks from `limits` in lockstep, handing its last
+few walkers to `_walk`.  A trajectory is the same bit for bit in either.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ import numpy as np
 
 STEP_CAP = 10_000_000
 SUM_TOL = 1e-12
+# _walk_many: walkers stepped together, uniforms drawn per walker per
+# round, and the pool size below which the last walkers finish in _walk.
+# The pool holds every live walker's partial path: on carpet m3, 96 or
+# 128 walkers were no faster than 64 and raised peak RSS by 0.7-1.5 MB more.
+LOCKSTEP_POOL = 64
+LOCKSTEP_BLOCK = 256
+LOCKSTEP_TAIL = 8
 
 
 class StepCapExceeded(RuntimeError):
@@ -238,7 +247,8 @@ def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap:
 
     Row v steps to nbrs[v][bisect_right(cums[v], u)] for a uniform u.  The
     path keeps both endpoints; step_cap steps without entry raise
-    StepCapExceeded.  Every sampler in the package runs this loop.
+    StepCapExceeded.  Chain walks run this loop, and so do the last
+    walkers of `_walk_many`.
     """
     v = start
     path = [v]
@@ -255,6 +265,109 @@ def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap:
             if is_target[v]:
                 return path
     raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
+
+
+def _step_table(nbrs, cums) -> tuple:
+    """(merged, table) so that one gather makes one step of every row.
+
+    merged is the sorted union of the rows' cumulative lists, and
+    k = searchsorted(merged, u, side="right") puts each u in [0, 1) into
+    one of len(merged) cells (the last list entry is 1.0).  A row's
+    cumulative list is a subset of merged, so bisect_right(cums[v], u) is
+    constant on each cell, and
+    table[v * len(merged) + k] = len(merged) * nbrs[v][bisect_right(cums[v], u)]
+    exactly.  Entries are premultiplied so the next lookup is one addition.
+    """
+    merged = sorted({c for row in cums for c in row})
+    width = len(merged)
+    lows = [0.0, *merged[:-1]]  # the left end of each cell
+    picks: dict = {}  # rows of equal degree share one cumulative list
+    rows = []
+    for v, (js, cs) in enumerate(zip(nbrs, cums)):
+        if not js:  # an isolated vertex is never entered; park it on itself
+            rows.append([v] * width)
+            continue
+        cols = picks.get(id(cs))
+        if cols is None:
+            cols = picks[id(cs)] = [bisect_right(cs, u) for u in lows]
+        rows.append([js[c] for c in cols])
+    table = np.array(rows, dtype=np.intp).reshape(-1) * width
+    return np.array(merged), table
+
+
+def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, step_cap: int):
+    """Yield (i, path) for trajectories 0..count-1 from `start`, as they finish.
+
+    path is trajectory i's index array, both endpoints kept, equal to
+    `_walk` on trajectory_stream(master_seed, i).  Up to LOCKSTEP_POOL
+    walkers step together: each draws LOCKSTEP_BLOCK uniforms from its
+    own stream per round, and a step of all of them is one addition and
+    one gather through `_step_table`.  Entries are found once per round;
+    a finished walker's slot goes to the next index.  Once no index is
+    left and fewer than LOCKSTEP_TAIL walkers remain, each finishes in
+    `_walk` from its current vertex with the rest of its stream and of
+    its step cap.  Paths are kept as ragged per-walker pieces.
+    StepCapExceeded is raised as soon as any walker runs out of steps.
+    """
+    if count <= 0:
+        return
+    merged, table = _step_table(nbrs, cums)
+    width = len(merged)
+    flags = np.asarray(is_target, dtype=bool)
+    dtype = np.uint16 if len(nbrs) <= 1 << 16 else np.int32
+    block = LOCKSTEP_BLOCK
+    pool = min(LOCKSTEP_POOL, count)
+    head = np.array([start], dtype=dtype)
+    us = np.zeros((pool, block))  # idle rows keep old uniforms, always in [0, 1)
+    cells = np.empty((pool, block), dtype=np.min_scalar_type(width))
+    ks = np.empty((block, pool), dtype=np.intp)
+    at = np.full((block + 1, pool), start * width, dtype=np.intp)  # width * vertex
+    idx = np.empty(pool, dtype=np.intp)
+    verts = np.empty((block, pool), dtype=dtype)
+    krows, arows, add, step = list(ks), list(at), np.add, table.take  # hoisted for the step loop
+    ids = list(range(pool))
+    rngs = [trajectory_stream(master_seed, i) for i in ids]
+    pieces = [[head] for _ in ids]
+    left = np.full(pool, step_cap, dtype=np.int64)
+    live = np.ones(pool, dtype=bool)
+    nxt = pool
+    while nxt < count or live.sum() >= LOCKSTEP_TAIL:
+        for r in np.flatnonzero(live):
+            rngs[r].random(out=us[r])
+        # k = searchsorted(merged, u, side="right"), counted directly:
+        # merged is short (at most 6 values on gasket and carpet graphs)
+        np.greater_equal(us, merged[0], out=cells)
+        for c in merged[1:]:
+            cells += us >= c
+        ks[...] = cells.T
+        for k, here, there in zip(krows, arows, arows[1:]):
+            add(here, k, out=idx)
+            step(idx, out=there, mode="clip")  # never clips; "raise" would buffer the output
+        np.floor_divide(at[1:], width, out=verts, casting="unsafe")
+        hits = flags[verts]
+        first = np.where(hits.any(0), hits.argmax(0), block)
+        done = live & (first < np.minimum(left, block))
+        if (live & ~done & (left <= block)).any():
+            raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
+        left -= block
+        at[0] = at[block]
+        for r in np.flatnonzero(live):
+            if done[r]:
+                finished = ids[r], np.concatenate([*pieces[r], verts[: first[r] + 1, r]])
+                if nxt < count:
+                    ids[r], rngs[r], pieces[r] = nxt, trajectory_stream(master_seed, nxt), [head]
+                    left[r] = step_cap
+                    at[0, r] = start * width
+                    nxt += 1
+                else:
+                    live[r], pieces[r] = False, None
+                yield finished
+            else:
+                pieces[r].append(verts[:, r].copy())
+    for r in np.flatnonzero(live):
+        rest = _walk(nbrs, cums, int(at[0, r]) // width, is_target, rngs[r], int(left[r]))
+        pieces[r].append(np.array(rest[1:], dtype=dtype))
+        yield ids[r], np.concatenate(pieces[r])
 
 
 def sample_until_entry(

@@ -258,6 +258,7 @@ def _finish(
     checks: dict,
     files: dict,
     counterexample: dict | None = None,
+    stats: list | None = None,
 ) -> int:
     stem = name.replace("-", "_")
     passed = all(v is not False for v in checks.values())
@@ -275,6 +276,8 @@ def _finish(
         "results": results,
         "files": files,
     }
+    if stats is not None:
+        summary["stats"] = stats
     (out / f"{stem}.json").write_text(_canon_json(summary))
     status = "PASS" if passed else "FAIL"
     detail = "" if passed else " (see counterexample.json)"
@@ -574,6 +577,7 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
     kind, template = _family(cfg)
     rows = []
     medians = []
+    counters = []
     for stage, level in pairs:
         graph = _family_graph(kind, level, template)
         x = _corner_vertex(cfg.get("start") or "q1", graph)
@@ -586,6 +590,7 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
              repr(stats["mean"]), repr(stats["max"])]
         )
         medians.append(stats["median"])
+        counters.append({"stage": stage, "level": level, **stats["stats"]})
     h = _config_hash(cfg)
     (out / "converge.csv").write_text(
         _csv_text(h, ["stage", "level", "n", "median", "q90", "mean", "max"], rows)
@@ -611,6 +616,7 @@ def _converge_coupled(cfg: dict, out: Path) -> int:
         checks,
         files={"table": "converge.csv"},
         counterexample=counterexample,
+        stats=counters,
     )
 
 
@@ -888,7 +894,7 @@ def _add_common(p: argparse.ArgumentParser, *flags: str):
         p.add_argument("--seed", type=int, help="64-bit master seed")
     if "workers" in flags:
         p.add_argument("--workers", type=int,
-                       help="accepted for compatibility and ignored: sampling runs serially")
+                       help="accepted for compatibility and ignored: sampling runs in one thread")
     if "mode" in flags:
         p.add_argument("--mode", choices=["rational", "double"], help="numeric mode")
     if "graph" in flags:

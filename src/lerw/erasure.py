@@ -17,11 +17,16 @@ earlier ones; the chase then costs one table lookup per surviving
 index, so its Python work scales with the output, not the input.  Tests
 pin them to each other on fuzzed inputs and long graph walks; the naive
 versions are the reference.
+
+`partial_loop_erase_array` runs the same recursion on a numpy path of
+integer states under a boolean erasable mask, for sampled graph walks.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 State = Hashable
 Path = tuple
@@ -149,6 +154,44 @@ def partial_loop_erase(w: Sequence, retained: Iterable) -> ErasureResult:
         i += 1
         indices.append(i)
     return ErasureResult(tuple(map(w.__getitem__, indices)), tuple(indices))
+
+
+def partial_loop_erase_array(w: np.ndarray, erasable: np.ndarray) -> np.ndarray:
+    """Surviving indices of the partial loop erasure of an integer path.
+
+    w is a non-empty 1-d array of states 0..len(erasable)-1 and erasable a
+    boolean mask over states; the result equals
+    partial_loop_erase(w, {s : erasable[s]}).indices as an array.  An
+    all-True mask gives loop erasure, an all-False mask the identity.
+
+    Only positions holding erasable states are chased.  The last visit
+    to an erasable state is itself such a position, so the chase runs on
+    their ranks alone and the next erasable position after a jump is the
+    next rank.  The runs between chased positions survive whole and are
+    copied as slices.
+    """
+    w = np.asarray(w)
+    if w.ndim != 1 or not len(w):
+        raise ValueError("path must be a non-empty 1-d array")
+    eta = len(w) - 1
+    marks = np.flatnonzero(erasable[w])  # positions holding erasable states
+    held = w[marks]
+    last = np.zeros(len(erasable), dtype=np.intp)  # state -> rank of its last visit
+    np.maximum.at(last, held, np.arange(len(marks)))
+    positions = np.arange(len(w))
+    runs = []
+    i = j = 0  # next input position, rank of the first erasable position at or after it
+    while j < len(marks):
+        e = int(marks[j])
+        runs.append(positions[i : e + 1])
+        j = int(last[held[j]])  # jump past the last visit to w[e]
+        i = int(marks[j]) + 1
+        if i > eta:
+            break
+        j += 1
+    else:  # no erasable position left: the rest survives
+        runs.append(positions[i:])
+    return np.concatenate(runs)
 
 
 def refinement_erase(w: Sequence, levels: Sequence[Iterable]) -> tuple[ErasureResult, ...]:

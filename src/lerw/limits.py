@@ -2,8 +2,11 @@
 
 Sampling is reproducible by construction: trajectory i always uses the
 counter-based stream keyed (master_seed, i), so aggregation is
-order-independent.  Graph walks run through `chain._walk`, the loop that
-also draws chain trajectories, one trajectory after another.
+order-independent.  Graph walks run through `chain._walk_many`, which
+steps a pool of them in lockstep and hands its last few walkers to
+`chain._walk`, the loop that draws chain trajectories.  Results are
+stored by trajectory index, so the order in which walks finish does not
+matter.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import STEP_CAP, _cum_row, _walk, trajectory_stream
-from .erasure import loop_erase, partial_loop_erase, refinement_erase
+from .chain import STEP_CAP, _cum_row, _walk_many
+from .erasure import loop_erase, partial_loop_erase_array, refinement_erase
 from .fractal import (
     FractalGraph,
     adjacency_arrays,
@@ -176,7 +179,7 @@ class WalkConfig:
     """Graph, master seed and step cap of a sampling run.
 
     `workers` is accepted so existing callers keep working, but nothing
-    reads it: trajectories run serially in the calling thread.
+    reads it: trajectories run in the calling thread.
     """
 
     graph: FractalGraph
@@ -185,17 +188,22 @@ class WalkConfig:
     step_cap: int = STEP_CAP
 
 
-def _graph_walker(config: WalkConfig, x: int, targets: Iterable):
-    """(walk, is_target): walk(i) is trajectory i's vertex indices from x into targets.
+def _graph_walks(config: WalkConfig, x: int, targets: Iterable, count: int):
+    """Trajectories 0..count-1 of the graph walk from x into targets.
 
-    Each vertex steps to one of its sorted neighbours with weight 1/deg,
-    as the walk chain of the graph's uniform network does.  There is no
-    reachability check: an unreachable target set ends in StepCapExceeded.
+    Returns `chain._walk_many`'s generator of (i, vertex index array), in
+    the order the walks finish.  Each vertex steps to one of its sorted
+    neighbours with weight 1/deg, as the walk chain of the graph's
+    uniform network does.  There is no reachability check: an
+    unreachable target set ends in StepCapExceeded.
     """
     g = config.graph
     tset = frozenset(targets)
     if not tset or x in tset:
         raise ValueError("need a non-empty target set not containing the start")
+    for role, v in (("start", x), *(("target", t) for t in sorted(tset))):
+        if not 0 <= v < g.n:
+            raise ValueError(f"{role} vertex {v} is out of range: the graph has vertices 0..{g.n - 1}")
     indptr, nbr = adjacency_arrays(g)
     flat, bounds = nbr.tolist(), indptr.tolist()
     nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -207,12 +215,7 @@ def _graph_walker(config: WalkConfig, x: int, targets: Iterable):
     is_target = [False] * g.n
     for t in tset:
         is_target[t] = True
-
-    def walk(i: int) -> list:
-        rng = trajectory_stream(config.master_seed, i)
-        return _walk(nbrs, cums, x, is_target, rng, config.step_cap)
-
-    return walk, is_target
+    return _walk_many(nbrs, cums, x, is_target, config.master_seed, count, config.step_cap)
 
 
 def _apply_pipeline(path: tuple, pipeline):
@@ -234,18 +237,21 @@ def lerw_set_law(
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     g = config.graph
-    walk, is_target = _graph_walker(config, x, targets)
+    tset = frozenset(targets)
+    walks = _graph_walks(config, x, tset, num_samples)
     plain = isinstance(pipeline, str)
     verts = g.vertices
-    atoms: Counter = Counter()
-    for i in range(num_samples):
-        out = _apply_pipeline(tuple(walk(i)), pipeline)
+    keys = [None] * num_samples
+    for i, w in walks:
+        out = _apply_pipeline(tuple(w.tolist()), pipeline)
         if plain:
             if len(set(out)) != len(out):
                 raise AssertionError(f"erased output not simple on sample {i}")
-            if out[0] != x or not is_target[out[-1]] or any(is_target[v] for v in out[:-1]):
+            if out[0] != x or out[-1] not in tset or not tset.isdisjoint(out[:-1]):
                 raise AssertionError(f"bad endpoints on sample {i}")
-        atoms[tuple(sorted(verts[v] for v in set(out)))] += 1
+        keys[i] = tuple(sorted(verts[v] for v in set(out)))
+    # counted in index order, so the atoms keep the serial insertion order
+    atoms = Counter(keys)
     return EmpiricalSetLaw(g.kind, g.grid, dict(atoms), num_samples)
 
 
@@ -264,13 +270,19 @@ def coupled_refinement_distance(
     g = config.graph
     if not 0 <= m <= g.level:
         raise ValueError("stage level out of range")
-    retained = g.nested[m]
-    walk, _ = _graph_walker(config, x, targets)
+    erasable = np.zeros(g.n, dtype=bool)
+    erasable[list(g.nested[m])] = True
+    walks = _graph_walks(config, x, targets, num_samples)
     xy = to_xy(g)
     dists = np.empty(num_samples)
-    for i in range(num_samples):
-        stage = partial_loop_erase(walk(i), retained).path
+    steps = np.empty(num_samples, dtype=np.int64)
+    stage_points = final_points = 0
+    for i, w in walks:
+        stage = w[partial_loop_erase_array(w, erasable)].tolist()
         final = loop_erase(stage).path
+        steps[i] = len(w) - 1
+        stage_points += len(stage)
+        final_points += len(final)
         # final is a subsequence of stage: only stage points off final
         # can be far from the other set
         off = set(stage).difference(final)
@@ -279,8 +291,9 @@ def coupled_refinement_distance(
             continue
         pa = xy[sorted(off)]
         pb = xy[list(final)]
-        d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1)
-        dists[i] = float(d2.min(1).max()) ** 0.5
+        dx = pa[:, :1] - pb[:, 0]
+        dy = pa[:, 1:] - pb[:, 1]
+        dists[i] = float((dx * dx + dy * dy).min(1).max()) ** 0.5
     qs = np.quantile(dists, [0.5, 0.9])
     return {
         "n": num_samples,
@@ -289,6 +302,12 @@ def coupled_refinement_distance(
         "mean": float(dists.mean()),
         "max": float(dists.max()),
         "distances": dists,
+        "stats": {
+            "walk_steps": int(steps.sum()),
+            "walk_steps_max": int(steps.max()),
+            "stage_points": stage_points,
+            "final_points": final_points,
+        },
     }
 
 

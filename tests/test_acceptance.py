@@ -409,7 +409,7 @@ def test_criterion_10_erased_outputs_are_simple():
 
 
 def test_criterion_11_worker_count_invariance(tmp_path):
-    """`--workers` is accepted and ignored (sampling runs serially), so the
+    """`--workers` is accepted and ignored (sampling runs in one thread), so the
     outputs must not depend on it; this pins that the flag stays harmless."""
     runs = {
         "simulate": [

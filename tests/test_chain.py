@@ -11,6 +11,7 @@ from lerw.chain import (
     MarkovChain,
     StepCapExceeded,
     _cum_row,
+    _step_table,
     build_chain,
     chain_from_text,
     chain_to_text,
@@ -190,3 +191,24 @@ class TestStepRule:
                 assert not bad, (d, j, bad[:3])
                 checked += len(us)
         assert checked == 81_930
+
+    def test_step_table_matches_bisect_at_every_cell_edge(self):
+        # one gather per step must give nbrs[v][bisect_right(cums[v], u)]
+        # exactly, including at and next to every cell boundary
+        nbrs = [[1], [0, 2], [1, 3, 4], [2, 4, 5, 6], [2, 3], [3], [3], []]
+        shared = {d: _cum_row(np.full(d, 1.0) / d) for d in range(5)}
+        cums = [shared[len(r)] for r in nbrs]
+        merged, table = _step_table(nbrs, cums)
+        width = len(merged)
+        assert width == 6
+        offsets = np.arange(-64, 65, dtype=np.int64)
+        edges = np.concatenate([[0.0], merged])
+        near = (edges.view(np.int64)[:, None] + offsets).view(np.float64).ravel()
+        us = np.concatenate([near[(near >= 0.0) & (near < 1.0)], np.random.default_rng(0).random(2000)])
+        ks = np.searchsorted(merged, us, side="right")
+        for v, (js, cs) in enumerate(zip(nbrs, cums)):
+            if not js:
+                continue
+            got = table[v * width + ks] // width
+            assert got.tolist() == [js[bisect_right(cs, u)] for u in us.tolist()], v
+

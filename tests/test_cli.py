@@ -10,8 +10,8 @@ import pytest
 from lerw.chain import chain_to_text, dense_chain
 from lerw.cli import main
 from lerw.exactlaw import law_from_text
-from lerw.fractal import standard_carpet, template_to_text
-from lerw.limits import resistance_scaling, set_law_from_text
+from lerw.fractal import corner_indices, gasket_graph, standard_carpet, template_to_text
+from lerw.limits import WalkConfig, coupled_refinement_distance, resistance_scaling, set_law_from_text
 
 
 def read_json(path):
@@ -147,6 +147,20 @@ class TestConverge:
         table = (tmp_path / "converge.csv").read_text().splitlines()
         assert table[0].startswith("# config ")
         assert len(table) == 4  # comment, header, two level pairs
+
+    def test_coupled_counters(self, tmp_path):
+        argv = ["converge", "--what", "coupled", "--gasket", "--pairs", "1:2,2:3",
+                "--from", "q1", "--to", "q2", "-n", "200", "--seed", "31"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        stats = read_json(tmp_path / "converge.json")["stats"]
+        assert [(s["stage"], s["level"]) for s in stats] == [(1, 2), (2, 3)]
+        for s in stats:
+            g = gasket_graph(s["level"])
+            c = corner_indices(g)
+            direct = coupled_refinement_distance(WalkConfig(g, 31), s["stage"], c[0], [c[1]], 200)
+            assert s == {"stage": s["stage"], "level": s["level"], **direct["stats"]}
+            assert s["walk_steps"] >= s["stage_points"] - 200 >= s["final_points"] - 200 > 0
+            assert 0 < s["walk_steps_max"] <= s["walk_steps"]
 
     def test_bad_what_exits_two(self, tmp_path, capsys):
         assert main(["converge", "--what", "nope", "--out", str(tmp_path)]) == 2

@@ -2,8 +2,9 @@
 
 import functools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lerw.erasure import (
     ErasureResult,
@@ -16,12 +17,13 @@ from lerw.erasure import (
     loop_erase,
     loop_erase_naive,
     partial_loop_erase,
+    partial_loop_erase_array,
     partial_loop_erase_naive,
     refinement_erase,
     reverse_path,
 )
 from lerw.fractal import carpet_graph, corner_indices, standard_carpet
-from lerw.limits import WalkConfig, _graph_walker
+from lerw.limits import WalkConfig, _graph_walks
 
 W = ("a", "b", "c", "d", "b", "e", "d")
 
@@ -101,19 +103,54 @@ def test_fast_ple_matches_naive(w, retained):
     assert partial_loop_erase(w, retained) == partial_loop_erase_naive(w, retained)
 
 
+def array_erase(w, erasable):
+    """partial_loop_erase_array as an ErasureResult of plain ints."""
+    w = np.asarray(w)
+    idx = partial_loop_erase_array(w, np.asarray(erasable, dtype=bool))
+    return ErasureResult(tuple(w[idx].tolist()), tuple(idx.tolist()))
+
+
+masks = st.lists(st.booleans(), min_size=6, max_size=6)
+
+
+@settings(max_examples=400)
+@given(paths, masks)
+@example((3,), [False] * 6)
+@example((3,), [True] * 6)
+@example((0, 1, 2, 1), [False, True, False, False, False, False])
+@example((0, 1, 0, 2, 0), [True, False, False, False, False, False])
+def test_array_erasure_matches_naive(w, mask):
+    # one-element paths and an erasable final state are pinned as examples
+    retained = {s for s in range(6) if mask[s]}
+    assert array_erase(w, mask) == partial_loop_erase_naive(w, retained)
+    assert array_erase(w, [True] * 6) == loop_erase_naive(w)
+    assert array_erase(w, [False] * 6) == ErasureResult(w, tuple(range(len(w))))
+
+
+def test_array_erasure_rejects_empty_paths():
+    with pytest.raises(ValueError, match="non-empty"):
+        partial_loop_erase_array(np.array([], dtype=int), np.ones(3, dtype=bool))
+
+
 def test_fast_matches_naive_on_long_graph_walks():
     # real carpet walks of hundreds to thousands of steps revisit each
     # state many times, far beyond the fuzzed paths above
     g = carpet_graph(standard_carpet(), 2)
     c = corner_indices(g)
-    walk, _ = _graph_walker(WalkConfig(g, 5), c[0], [c[3]])
+    walks = dict(_graph_walks(WalkConfig(g, 5), c[0], [c[3]], 50))
     lengths = []
     for i in range(50):
-        w = walk(i)
-        lengths.append(len(w))
-        assert loop_erase(w) == loop_erase_naive(w), i
+        w = walks[i]
+        path = tuple(w.tolist())
+        lengths.append(len(path))
+        assert loop_erase(path) == loop_erase_naive(path), i
+        assert array_erase(w, np.ones(g.n, dtype=bool)) == loop_erase_naive(path), i
         for retained in (g.nested[0], g.nested[1]):
-            assert partial_loop_erase(w, retained) == partial_loop_erase_naive(w, retained), i
+            expected = partial_loop_erase_naive(path, retained)
+            assert partial_loop_erase(path, retained) == expected, i
+            mask = np.zeros(g.n, dtype=bool)
+            mask[list(retained)] = True
+            assert array_erase(w, mask) == expected, i
     assert min(lengths) < 100 and max(lengths) > 1000
 
 

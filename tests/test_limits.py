@@ -12,7 +12,15 @@ from random import Random
 import numpy as np
 import pytest
 
-from lerw.chain import StepCapExceeded, sample_until_entry, trajectory_stream
+import lerw.chain
+from lerw.chain import (
+    LOCKSTEP_BLOCK,
+    LOCKSTEP_POOL,
+    LOCKSTEP_TAIL,
+    StepCapExceeded,
+    sample_until_entry,
+    trajectory_stream,
+)
 from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.fractal import (
     FractalGraph,
@@ -26,7 +34,7 @@ from lerw.fractal import (
 from lerw.limits import (
     EmpiricalSetLaw,
     WalkConfig,
-    _graph_walker,
+    _graph_walks,
     coupled_refinement_distance,
     empirical_tv,
     hausdorff,
@@ -179,17 +187,78 @@ def family_graph(kind, m):
 
 
 class TestGraphWalks:
-    @pytest.mark.parametrize("kind, m", [("gasket", 2), ("carpet", 1)])
-    def test_graph_walks_equal_chain_walks(self, kind, m):
+    @pytest.mark.parametrize(
+        "kind, m, serial_tail",
+        [
+            pytest.param("gasket", 2, False, id="gasket-2"),
+            pytest.param("carpet", 1, False, id="carpet-1"),
+            pytest.param("carpet", 2, True, id="carpet-2"),
+        ],
+    )
+    def test_graph_walks_equal_chain_walks(self, kind, m, serial_tail, monkeypatch):
         # a graph walk is the walk chain of the graph's unit network,
-        # drawn from the same uniforms
+        # drawn from the same uniforms; 300 walks refill the pool's slots
         g = family_graph(kind, m)
         c = corner_indices(g)
-        walk, _ = _graph_walker(WalkConfig(g, 41), c[0], c[1:])
+        count = 300
         chain = walk_from_network(uniform_network(g, "double"))
-        for i in range(200):
-            expected = sample_until_entry(chain, c[0], c[1:], trajectory_stream(41, i))
-            assert tuple(walk(i)) == expected, i
+        expected = [
+            sample_until_entry(chain, c[0], [c[-1]], trajectory_stream(41, i)) for i in range(count)
+        ]
+        tails = []
+        walk = lerw.chain._walk
+
+        def spy(nbrs, cums, start, is_target, rng, step_cap):
+            tails.append(start)
+            return walk(nbrs, cums, start, is_target, rng, step_cap)
+
+        monkeypatch.setattr(lerw.chain, "_walk", spy)
+        walks = dict(_graph_walks(WalkConfig(g, 41), c[0], [c[-1]], count))
+        assert sorted(walks) == list(range(count))
+        for i in range(count):
+            assert tuple(walks[i].tolist()) == expected[i], i
+        steps = [len(w) - 1 for w in expected]
+        # walks that end in the first block and walks that cross blocks
+        assert min(steps) < LOCKSTEP_BLOCK < max(steps)
+        # on carpet m2 the last few walkers finish serially, from wherever
+        # they stand; shorter walks all finish in lockstep
+        assert (len(tails) > 0) == serial_tail and len(tails) < LOCKSTEP_TAIL
+
+    def test_step_cap_is_exact(self):
+        g = carpet_graph(standard_carpet(), 1)
+        c = corner_indices(g)
+        count = 2 * LOCKSTEP_POOL
+        chain = walk_from_network(uniform_network(g, "double"))
+        steps = [
+            len(sample_until_entry(chain, c[0], [c[3]], trajectory_stream(8, i))) - 1
+            for i in range(count)
+        ]
+        cap = max(steps)
+        walks = dict(_graph_walks(WalkConfig(g, 8, step_cap=cap), c[0], [c[3]], count))
+        assert max(len(w) - 1 for w in walks.values()) == cap
+        with pytest.raises(StepCapExceeded):
+            dict(_graph_walks(WalkConfig(g, 8, step_cap=cap - 1), c[0], [c[3]], count))
+
+    def test_step_cap_mid_block_in_lockstep(self):
+        # no walker can enter the target, so all of them are still in
+        # lockstep when the cap falls inside their second block
+        g = path_stub(4, edges=((0, 1), (2, 3)))
+        cap = LOCKSTEP_BLOCK + LOCKSTEP_BLOCK // 2
+        walks = _graph_walks(WalkConfig(g, 1, step_cap=cap), 0, [3], 2 * LOCKSTEP_POOL)
+        with pytest.raises(StepCapExceeded, match=f"within {cap} steps"):
+            next(walks)
+        # a walk entering exactly at the cap is kept
+        assert lerw_set_law(WalkConfig(path_stub(2), 1, step_cap=1), 0, [1], 300).total == 300
+        with pytest.raises(StepCapExceeded):
+            lerw_set_law(WalkConfig(path_stub(2), 1, step_cap=0), 0, [1], 300)
+
+    def test_out_of_range_vertices_are_named(self):
+        g = gasket_graph(1)
+        for start, targets in ((0, [-1]), (-g.n, [1]), (0, [g.n]), (g.n, [1])):
+            with pytest.raises(ValueError, match="out of range"):
+                lerw_set_law(WalkConfig(g, 1), start, targets, 3)
+            with pytest.raises(ValueError, match="out of range"):
+                coupled_refinement_distance(WalkConfig(g, 1), 0, start, targets, 3)
 
     def test_fixed_seed_outputs_are_pinned(self):
         # sha256 digests recorded with the earlier floor(u*deg) graph
@@ -355,14 +424,28 @@ assert "scipy.sparse" not in sys.modules, "sampling imported scipy.sparse"
         c = corner_indices(g)
         config = WalkConfig(g, 13)
         st = coupled_refinement_distance(config, 1, c[0], [c[3]], 200)
-        walk, _ = _graph_walker(config, c[0], [c[3]])
+        walks = dict(_graph_walks(config, c[0], [c[3]], 200))
         xy = to_xy(g)
         for i in range(200):
-            stage = partial_loop_erase(walk(i), g.nested[1]).path
+            stage = partial_loop_erase(walks[i].tolist(), g.nested[1]).path
             final = loop_erase(stage).path
             expected = hausdorff(xy[sorted(set(stage))], xy[sorted(set(final))])
             assert st["distances"][i] == expected, i
         assert st["max"] > 0
+
+    def test_counters_count_walks_and_erasures(self):
+        g = carpet_graph(standard_carpet(), 2)
+        c = corner_indices(g)
+        config = WalkConfig(g, 17)
+        st = coupled_refinement_distance(config, 1, c[0], [c[3]], 150)
+        walks = dict(_graph_walks(config, c[0], [c[3]], 150))
+        stages = [partial_loop_erase(walks[i].tolist(), g.nested[1]).path for i in range(150)]
+        assert st["stats"] == {
+            "walk_steps": sum(len(w) - 1 for w in walks.values()),
+            "walk_steps_max": max(len(w) - 1 for w in walks.values()),
+            "stage_points": sum(map(len, stages)),
+            "final_points": sum(len(loop_erase(s).path) for s in stages),
+        }
 
     def test_stage_out_of_range(self):
         g = gasket_graph(1)
