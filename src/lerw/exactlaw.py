@@ -20,12 +20,19 @@ state, the tower chain is finite and is reduced onto its start tower:
 the law is exact and its tail bound 0.  Otherwise mass is stepped
 forward in time and the tail bound is the certified unabsorbed mass.
 The slow per-trajectory recursion is kept alongside as a cross-check.
+
+Both routes end with integers over one scale: the elimination's weights
+over their total, the stepped masses and tail over a power of the
+kernel's denominator.  A rational PathLaw keeps that integer form beside
+its Fraction atoms and validates, totals and compares on it; a law read
+from Fractions derives it once over the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -259,24 +266,57 @@ class PathLaw:
     atoms maps path tuples to positive masses; tail_bound is a certified
     upper bound on the mass not captured by the atoms.  In rational mode
     total + tail_bound <= 1 holds exactly.
+
+    A rational law also carries its integer form (weights, tail, scale):
+    positive integer weights per path, a tail numerator and one positive
+    scale, with atoms[p] == weights[p] / scale and tail_bound == tail /
+    scale.  Laws built from Fraction atoms derive it once, over the lcm
+    of their denominators; `from_weights` passes it in and builds the
+    atoms from it.  Validation, totals and distances of rational laws run
+    on it, so they build no Fraction per atom.  Double laws have none.
     """
 
     atoms: dict
     tail_bound: object
     mode: str
+    form: tuple | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_weights(cls, weights: dict, tail: int, scale: int) -> PathLaw:
+        """The rational law with masses weights[p] / scale and tail tail / scale."""
+        atoms = {p: Fraction(w, scale) for p, w in weights.items()}
+        return cls(atoms, Fraction(tail, scale), "rational", (weights, tail, scale))
 
     def __post_init__(self):
-        if any(m <= 0 for m in self.atoms.values()):
+        if self.mode != "rational":
+            if any(m <= 0 for m in self.atoms.values()):
+                raise ValueError("atom masses must be positive")
+            if self.tail_bound < 0:
+                raise ValueError("tail bound must be non-negative")
+            excess = self.total() + self.tail_bound - 1
+            if excess > 1e-9:
+                raise ValueError(f"masses plus tail exceed 1 by {excess}")
+            return
+        if self.form is None:
+            masses = {p: Fraction(m) for p, m in self.atoms.items()}
+            tail = Fraction(self.tail_bound)
+            scale = math.lcm(tail.denominator, *(m.denominator for m in masses.values()))
+            weights = {p: m.numerator * (scale // m.denominator) for p, m in masses.items()}
+            tail_w = tail.numerator * (scale // tail.denominator)
+            object.__setattr__(self, "form", (weights, tail_w, scale))
+        weights, tail, scale = self.form
+        if any(w <= 0 for w in weights.values()):
             raise ValueError("atom masses must be positive")
-        if self.tail_bound < 0:
+        if tail < 0:
             raise ValueError("tail bound must be non-negative")
-        excess = self.total() + self.tail_bound - 1
-        if (self.mode == "rational" and excess > 0) or excess > 1e-9:
-            raise ValueError(f"masses plus tail exceed 1 by {excess}")
+        excess = sum(weights.values()) + tail - scale
+        if excess > 0:
+            raise ValueError(f"masses plus tail exceed 1 by {Fraction(excess, scale)}")
 
     def total(self):
-        zero = Fraction(0) if self.mode == "rational" else 0.0
-        return sum(self.atoms.values(), zero)
+        if self.form is not None:
+            return Fraction(sum(self.form[0].values()), self.form[2])
+        return sum(self.atoms.values(), 0.0)
 
     def mass(self, path):
         zero = Fraction(0) if self.mode == "rational" else 0.0
@@ -284,7 +324,17 @@ class PathLaw:
 
 
 def tv_distance(a: PathLaw, b: PathLaw):
-    """Half the l1 distance between the atom vectors."""
+    """Half the l1 distance between the atom vectors.
+
+    Between two rational laws this is one Fraction over 2 T_a T_b, with
+    an integer numerator summed from the weights.
+    """
+    if a.form is not None and b.form is not None:
+        wa, _, ta = a.form
+        wb, _, tb = b.form
+        num = sum(abs(w * tb - wb.get(k, 0) * ta) for k, w in wa.items())
+        num += sum(w * ta for k, w in wb.items() if k not in wa)
+        return Fraction(num, 2 * ta * tb)
     keys = set(a.atoms) | set(b.atoms)
     tot = sum(abs(a.mass(k) - b.mass(k)) for k in keys)
     return tot / 2
@@ -304,27 +354,31 @@ def law_to_text(law: PathLaw) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RATIONAL_TOKEN = re.compile(r"-?\d+(/\d+)?")
+
+
 def law_from_text(text: str) -> PathLaw:
+    """Read law_to_text's output back.
+
+    The law is rational when every mass and the tail are integers or
+    p/q, the only forms str(Fraction) writes; otherwise it is double.
+    """
     tail = None
     atoms = {}
-    double = False
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         if ln.startswith("#"):
-            token = ln.split("\t")[-1].strip()
-            double = double or "." in token
-            tail = token
+            tail = ln.split("\t")[-1].strip()
             continue
         path_part, mass = ln.split("\t")
-        double = double or "." in mass
         atoms[tuple(path_part.split())] = mass
     if tail is None:
         raise ValueError("missing tail_bound header")
-    if double:
-        return PathLaw({p: float(m) for p, m in atoms.items()}, float(tail), "double")
-    return PathLaw({p: Fraction(m) for p, m in atoms.items()}, Fraction(tail), "rational")
+    if all(_RATIONAL_TOKEN.fullmatch(t) for t in (tail, *atoms.values())):
+        return PathLaw({p: Fraction(m) for p, m in atoms.items()}, Fraction(tail), "rational")
+    return PathLaw({p: float(m) for p, m in atoms.items()}, float(tail), "double")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +471,8 @@ def enumerate_erasure_law(
     certified bound on what the atoms miss.
 
     step_fn overrides the innermost erasure fold step; it exists so
-    negative controls can inject a broken erasure.  Leave it None.
+    negative controls can inject a broken erasure.  Like fold_step, it must
+    end its output with the state it consumed.  Leave it None.
     """
     a = frozenset(absorbing)
     if not a:
@@ -439,9 +494,9 @@ def enumerate_erasure_law(
             raise ValueError("tol must be positive")
 
     if start in a:
-        one = Fraction(1) if rational else 1.0
-        zero = Fraction(0) if rational else 0.0
-        return PathLaw({(start,): one}, zero, chain.mode)
+        if rational:
+            return PathLaw.from_weights({(start,): 1}, 0, 1)
+        return PathLaw({(start,): 1.0}, 0.0, chain.mode)
 
     states = chain.states
     last = stages[-1]
@@ -452,21 +507,23 @@ def enumerate_erasure_law(
         denom = 1.0
         moves = [[(j, float(p)) for j, p in enumerate(row) if p > 0] for row in chain.kernel]
     in_a = [s in a for s in states]
-    sidx = {s: i for i, s in enumerate(states)}
 
     # Interned towers.  A tower determines the current chain position (the
-    # innermost partial always ends with the element just consumed), so
-    # its moves are the walk kernel's row there, each fed through the
-    # pipeline: a move into the absorbing set ends on a final path.
+    # innermost partial always ends with the element just consumed), which
+    # is recorded when the tower is interned.  Its moves are the walk
+    # kernel's row there, each fed through the pipeline: a move into the
+    # absorbing set ends on a final path.
     ids: dict = {}
     towers: list = []
+    at: list = []  # chain index of each tower's current state
 
-    def intern(tw) -> int:
+    def intern(tw, j: int) -> int:
         sid = ids.get(tw)
         if sid is None:
             sid = len(towers)
             ids[tw] = sid
             towers.append(tw)
+            at.append(j)
         return sid
 
     def expand(sid: int) -> tuple:
@@ -474,16 +531,16 @@ def enumerate_erasure_law(
         tw = towers[sid]
         nxt: dict = {}
         ends: dict = {}
-        for j, w in moves[sidx[_tower_final(tw, depth)[-1]]]:
+        for j, w in moves[at[sid]]:
             fed = _tower_feed(tw, states[j], stages, 0, step)
             if in_a[j]:
                 k, row = _tower_final(fed, depth), ends
             else:
-                k, row = intern(fed), nxt
+                k, row = intern(fed, j), nxt
             row[k] = row.get(k, 0) + w
         return nxt, ends
 
-    origin = intern(_tower_init(start, stages, step))
+    origin = intern(_tower_init(start, stages, step), chain.index(start))
     if solve:
         out, sinks = [], []
         while len(out) < len(towers):  # breadth-first: expand interns in order
@@ -496,8 +553,7 @@ def enumerate_erasure_law(
         weights = sinks[origin]
         total = sum(weights.values())
         if rational:
-            atoms = {p: Fraction(w, total) for p, w in weights.items()}
-            return PathLaw(atoms, Fraction(0), chain.mode)
+            return PathLaw.from_weights(weights, 0, total)
         # int / int is correctly rounded
         return PathLaw({p: w / total for p, w in weights.items()}, 0.0, chain.mode)
 
@@ -533,12 +589,10 @@ def enumerate_erasure_law(
                 break
 
     if rational:
-        tail = Fraction(sum(alive.values()), denom_pow)
-        atoms = {p: Fraction(m, denom_pow) for p, m in done.items() if m}
-    else:
-        tail = sum(alive.values())
-        atoms = {p: m for p, m in done.items() if m > 0}
-    return PathLaw(atoms, tail, chain.mode)
+        weights = {p: m for p, m in done.items() if m}
+        return PathLaw.from_weights(weights, sum(alive.values()), denom_pow)
+    atoms = {p: m for p, m in done.items() if m > 0}
+    return PathLaw(atoms, sum(alive.values()), chain.mode)
 
 
 def enumerate_trajectories(chain: MarkovChain, start, absorbing: Iterable, length_cap: int, visit: Callable):

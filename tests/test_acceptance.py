@@ -57,7 +57,10 @@ def test_criterion_01_nested_erasure_matches_full_erasure_in_law():
     mix = [(3, 12)] * 70 + [(4, 8)] * 26 + [(5, 8)] * 4
     chains = cases = 0
     worst = Fraction(-1)
+    by_size = {}  # states -> [cases, seconds]
     for n, den in mix:
+        t_chain = time.perf_counter()
+        cases_before = cases
         chain = dense_chain(rng, n, den)
         chains += 1
         states = chain.states
@@ -77,13 +80,17 @@ def test_criterion_01_nested_erasure_matches_full_erasure_in_law():
                     assert tv <= bound, (n, sorted(a), pipe, float(tv), float(bound))
                     worst = max(worst, tv - bound)
                     cases += 1
+        tally = by_size.setdefault(n, [0, 0.0])
+        tally[0] += cases - cases_before
+        tally[1] += time.perf_counter() - t_chain
     elapsed = time.perf_counter() - t0
     ok = chains >= 100 and elapsed <= 600
+    rates = ", ".join(f"n={n} {c / s:.0f}/s" for n, (c, s) in sorted(by_size.items()))
     _report(
         1,
         ok,
         f"{cases} cases over {chains} chains, worst tv minus bound "
-        f"{float(worst):.2e}, {elapsed:.0f}s",
+        f"{float(worst):.2e}, {elapsed:.0f}s; cases per second {rates}",
     )
     assert ok, (chains, elapsed)
 

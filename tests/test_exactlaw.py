@@ -448,10 +448,81 @@ class TestExactElimination:
         assert capped.tail_bound > 0
 
 
+def fraction_law(rng: Random, paths: list, tail_share: int) -> PathLaw:
+    """A rational law built from Fraction atoms with unrelated denominators."""
+    atoms = {p: Fraction(rng.randint(1, 9), rng.randint(1, 40) * 10) for p in paths}
+    tail = Fraction(tail_share, 997)
+    room = 1 - tail
+    scale = sum(atoms.values()) / room if sum(atoms.values()) > room else 1
+    return PathLaw({p: m / scale for p, m in atoms.items()}, tail, "rational")
+
+
+def reference_tv(a: PathLaw, b: PathLaw) -> Fraction:
+    """Half the l1 distance, one Fraction per atom."""
+    keys = set(a.atoms) | set(b.atoms)
+    zero = Fraction(0)
+    return sum((abs(a.atoms.get(k, zero) - b.atoms.get(k, zero)) for k in keys), zero) / 2
+
+
 class TestPathLawType:
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             PathLaw({("a",): Fraction(3, 4)}, Fraction(1, 2), "rational")
+        with pytest.raises(ValueError, match="exceed"):
+            PathLaw.from_weights({("a",): 3, ("b",): 2}, 1, 5)
+
+    def test_non_positive_rejected(self):
+        for mass in (Fraction(0), Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="positive"):
+                PathLaw({("a",): mass, ("b",): Fraction(1, 3)}, Fraction(0), "rational")
+        for w in (0, -2):
+            with pytest.raises(ValueError, match="positive"):
+                PathLaw.from_weights({("a",): w, ("b",): 1}, 0, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            PathLaw.from_weights({("a",): 1}, -1, 3)
+
+    def test_integer_form_matches_fraction_reference(self):
+        rng = Random(13)
+        paths = [("a", str(k)) for k in range(12)]
+        for trial in range(300):
+            left = rng.sample(paths, rng.randint(0, 6))
+            kind = trial % 3
+            if kind == 0:  # disjoint supports
+                right = rng.sample([p for p in paths if p not in left], rng.randint(0, 6))
+            else:
+                right = rng.sample(paths, rng.randint(0, 6))
+            a = fraction_law(rng, left, rng.randint(0, 200))
+            b = a if kind == 1 else fraction_law(rng, right, rng.randint(0, 200))
+            if kind == 1 and trial % 2:  # the same law, built again
+                b = PathLaw(dict(a.atoms), a.tail_bound, "rational")
+            for law in (a, b):
+                assert law.total() == sum(law.atoms.values(), Fraction(0))
+                weights, tail, scale = law.form
+                assert Fraction(tail, scale) == law.tail_bound
+                for p in paths:
+                    assert law.mass(p) == law.atoms.get(p, Fraction(0))
+                    assert Fraction(weights.get(p, 0), scale) == law.mass(p)
+            tv = tv_distance(a, b)
+            assert isinstance(tv, Fraction) and tv == reference_tv(a, b)
+            assert tv_distance(b, a) == tv
+            if kind == 1:
+                assert tv == 0
+
+    def test_enumerated_and_fraction_built_laws_agree(self):
+        ch = dense_chain(Random(8), 4)
+        full = frozenset(ch.states)
+        laws = [
+            enumerate_erasure_law(ch, "a", {"d"}, "LE", tol=Fraction(1, 10**9)),
+            enumerate_erasure_law(ch, "a", {"d"}, [frozenset("b"), full], length_cap=9),
+            enumerate_erasure_law(ch, "d", {"d"}, "LE"),
+        ]
+        for law in laws:
+            again = PathLaw(dict(law.atoms), law.tail_bound, "rational")
+            assert again.atoms == law.atoms and again.tail_bound == law.tail_bound
+            assert law_to_text(again) == law_to_text(law)
+            assert again.total() == law.total()
+            assert tv_distance(again, law) == 0
+            assert tv_distance(laws[0], again) == tv_distance(laws[0], law)
 
     def test_text_roundtrip_rational(self):
         law = enumerate_erasure_law(dense_chain(Random(3), 3), "a", {"c"}, "LE", length_cap=15)
@@ -468,6 +539,14 @@ class TestPathLawType:
         assert again.tail_bound == law.tail_bound
         for k, v in law.atoms.items():
             assert again.atoms[tuple(map(str, k))] == v
+
+    def test_text_roundtrip_double_without_decimal_point(self):
+        # repr(1e-05) has no "."; the law must still read back as double
+        law = PathLaw({("a", "b"): 1e-05, ("a", "c"): 2e-05}, 1e-10, "double")
+        again = law_from_text(law_to_text(law))
+        assert again.mode == "double"
+        assert again.atoms == {("a", "b"): 1e-05, ("a", "c"): 2e-05}
+        assert again.tail_bound == 1e-10
 
 
 class TestTracedKernel:
