@@ -6,11 +6,16 @@ exact; mode "double" keeps floats.  Paths are plain tuples of states.
 
 Sampling uses counter-based Philox streams keyed by (master_seed,
 trajectory_index), so trajectory i is the same bit-for-bit in whatever
-order trajectories are drawn.  Two loops draw them, both in the calling
-thread and both reading row v's step as nbrs[v][bisect_right(cums[v], u)]:
-`_walk` draws one trajectory (every chain walk), and `_walk_many` steps a
-pool of fractal graph walks from `limits` in lockstep, handing its last
-few walkers to `_walk`.  A trajectory is the same bit for bit in either.
+order trajectories are drawn.  The key is handed to Philox as is, with no
+entropy drawn from the OS.  Two loops draw trajectories, both in the
+calling thread and both reading row v's step as
+nbrs[v][bisect_right(cums[v], u)]: `_walk` draws one trajectory (every
+chain walk) in uniform blocks that grow from WALK_BLOCK_FIRST to
+WALK_BLOCK_MAX, so a short walk draws few uniforms it does not use, and
+`_walk_many` steps a pool of fractal graph walks from `limits` in
+lockstep, handing its last few walkers to `_walk`.  A stream's uniforms
+come out in order whatever the block sizes, so a trajectory is the same
+bit for bit in either loop.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from random import Random
 from typing import Iterable, Sequence
 
@@ -32,6 +38,11 @@ SUM_TOL = 1e-12
 LOCKSTEP_POOL = 64
 LOCKSTEP_BLOCK = 256
 LOCKSTEP_TAIL = 8
+# _walk: uniforms drawn in the first block, doubling per block up to the
+# last size.  Corner walks on gasket m3 and carpet m2 average 123 and 167
+# steps, and a 1024-block cost more than the steps it served.
+WALK_BLOCK_FIRST = 64
+WALK_BLOCK_MAX = 1024
 
 
 class StepCapExceeded(RuntimeError):
@@ -102,10 +113,13 @@ class MarkovChain:
     def as_double(self) -> "MarkovChain":
         if self.mode == "double":
             return self
-        rows = tuple(tuple(float(p) for p in row) for row in self.kernel)
-        # exact rows can acquire rounding slack; renormalize defensively
-        rows = tuple(tuple(p / sum(row) for p in row) for row in rows)
-        return MarkovChain(self.states, rows, "double")
+        rows = []
+        for row in self.kernel:
+            # exact rows can acquire rounding slack; renormalize defensively
+            floats = [float(p) for p in row]
+            total = sum(floats)
+            rows.append(tuple(p / total for p in floats))
+        return MarkovChain(self.states, tuple(rows), "double")
 
 
 def build_chain(states: Sequence, rows: Sequence[Sequence], mode: str = "rational") -> MarkovChain:
@@ -208,9 +222,48 @@ def reachability_closure(chain: MarkovChain, targets: Iterable) -> frozenset:
     return frozenset(targets | (set(nontarget) - doomed))
 
 
+@cache
+def _philox_key_type() -> type:
+    """The seed class behind `trajectory_stream`.
+
+    It is built on first use, so importing this module does not load
+    numpy.random (about 11 ms).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """Hands Philox its key (master_seed, index) as its only seed state.
+
+        `Philox(key=...)` also builds a SeedSequence from OS entropy that
+        it never uses; seeding from this class skips that and sets the
+        same key.  Any other state request raises, so a Philox that
+        derived its key some other way would fail instead of changing
+        every stream.
+        """
+
+        __slots__ = ("key",)
+
+        def __init__(self, master_seed: int, index: int):
+            self.key = np.array([master_seed, index], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is two uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.key
+
+        def __reduce__(self):  # a pickled stream keeps its seed
+            return _philox_key, tuple(self.key.tolist())
+
+    return PhiloxKey
+
+
+def _philox_key(master_seed: int, index: int):
+    return _philox_key_type()(master_seed, index)
+
+
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent per-trajectory stream: Philox keyed (master_seed, index)."""
-    return np.random.Generator(np.random.Philox(key=np.array([master_seed, index], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(_philox_key(master_seed, index)))
 
 
 def _cum_row(weights) -> list:
@@ -248,17 +301,22 @@ def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap:
     Row v steps to nbrs[v][bisect_right(cums[v], u)] for a uniform u.  The
     path keeps both endpoints; step_cap steps without entry raise
     StepCapExceeded.  Chain walks run this loop, and so do the last
-    walkers of `_walk_many`.
+    walkers of `_walk_many`.  Uniforms are drawn in blocks of
+    WALK_BLOCK_FIRST, doubling up to WALK_BLOCK_MAX, and never past the
+    step cap.
     """
     v = start
     path = [v]
     if is_target[v]:
         return path
     left = step_cap
+    size = WALK_BLOCK_FIRST
     while left > 0:
-        # uniforms come in blocks of 1024; the block size only affects speed
-        us = rng.random(1024).tolist()[:left]
+        # the stream's uniforms come out in order whatever the block
+        # sizes, so they only affect speed
+        us = rng.random(min(size, left)).tolist()
         left -= len(us)
+        size = min(2 * size, WALK_BLOCK_MAX)
         for u in us:
             v = nbrs[v][bisect_right(cums[v], u)]
             path.append(v)
@@ -388,5 +446,5 @@ def sample_until_entry(
     if start not in closure:
         raise ValueError(f"entry into targets is not almost sure from {start!r}")
     nbrs, cums = _row_tables(chain)
-    states = chain.states
-    return tuple([states[i] for i in _walk(nbrs, cums, chain.index(start), is_target, rng, step_cap)])
+    path = _walk(nbrs, cums, chain.index(start), is_target, rng, step_cap)
+    return tuple(map(chain.states.__getitem__, path))

@@ -240,6 +240,11 @@ def _num(v) -> str:
     return str(v)
 
 
+def _json_num(v):
+    """JSON form of a value: a Fraction as its exact string, else a float."""
+    return str(v) if isinstance(v, Fraction) else float(v)
+
+
 def _public_config(cfg: dict) -> dict:
     """The result-defining part of a config.
 
@@ -470,6 +475,14 @@ def _cmd_resist(cfg: dict) -> int:
         "gamma_hat": res["gamma_hat"],
         "envelope": list(res["envelope"]) if res["envelope"] else None,
         "ratio_spread": spread,
+        "ratio_differences": {
+            f"{i}-{j}": [_json_num(d) for d in ds]
+            for (i, j), ds in sorted(res["ratio_differences"].items())
+        },
+        "aitken_limit": {
+            f"{i}-{j}": None if a is None else _json_num(a)
+            for (i, j), a in sorted(res["aitken_limit"].items())
+        },
         "band": band,
     }
     checks = {} if band is None else {"ratio_band": res["band_ok"]}

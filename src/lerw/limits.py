@@ -329,6 +329,25 @@ def _check_corner(kind: str, corners: tuple, c: int):
         )
 
 
+def aitken_limit(seq):
+    """Aitken's delta-squared limit from the last three terms of `seq`.
+
+    With d1, d2 the last two differences this is r2 - d2**2 / (d2 - d1),
+    exact on Fractions.  A last difference of 0 (a constant tail) gives
+    the last term; fewer than three terms, or two equal non-zero
+    differences (no Aitken limit), give None.
+    """
+    if len(seq) < 3:
+        return None
+    r0, r1, r2 = seq[-3:]
+    d1, d2 = r1 - r0, r2 - r1
+    if d2 == 0:
+        return r2
+    if d2 == d1:
+        return None
+    return r2 - d2 * d2 / (d2 - d1)
+
+
 def resistance_scaling(
     kind: str,
     m_values: Iterable,
@@ -340,8 +359,9 @@ def resistance_scaling(
     """Corner-to-corner effective resistances across levels.
 
     Produces per-level resistances for each probe pair, successive
-    ratios, the log-ratio exponent estimate, and the self-consistency
-    envelope [C1, C2] of k^(-m*gamma) * R_m / rho^gamma over all probes.
+    ratios with their differences and `aitken_limit`, the log-ratio
+    exponent estimate, and the self-consistency envelope [C1, C2] of
+    k^(-m*gamma) * R_m / rho^gamma over all probes.
     A declared band checks ratio stability per pair (max/min - 1 must
     not exceed it); the measured spread and a pass/fail flag are part of
     the result so callers can report the violation instead of crashing.
@@ -405,6 +425,8 @@ def resistance_scaling(
         "base": base,
         "rows": rows,
         "ratios": ratios,
+        "ratio_differences": {pair: [b - a for a, b in zip(rs, rs[1:])] for pair, rs in ratios.items()},
+        "aitken_limit": {pair: aitken_limit(rs) for pair, rs in ratios.items()},
         "ratio_spread": spread,
         "band": band,
         "band_ok": None if band is None else all(s <= band for s in spread.values()),

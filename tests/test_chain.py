@@ -1,17 +1,27 @@
 """Chain construction, serialization, reachability, and sampling."""
 
+import os
+import pickle
+import subprocess
+import sys
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
 from lerw.chain import (
+    WALK_BLOCK_FIRST,
+    WALK_BLOCK_MAX,
     MarkovChain,
     StepCapExceeded,
     _cum_row,
+    _philox_key,
+    _row_tables,
     _step_table,
+    _walk,
     build_chain,
     chain_from_text,
     chain_to_text,
@@ -19,8 +29,12 @@ from lerw.chain import (
     sample_until_entry,
     trajectory_stream,
 )
+from lerw.fractal import carpet_graph, corner_indices, standard_carpet, uniform_network
+from lerw.network import walk_from_network
 
 from _gen import dense_chain, sparse_chain
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def escape_chain():
@@ -40,6 +54,33 @@ class TestConstruction:
         dbl = ch.as_double()
         assert dbl.mode == "double"
         assert dbl.transition("a", "b") == 0.5
+
+    def test_as_double_matches_per_row_reference(self):
+        # each row is summed once and every entry divided by that sum;
+        # rows with many small parts carry rounding slack to divide out
+        rng = Random(17)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            rows = []
+            for _ in range(n):
+                weights = [rng.choice((0, rng.randint(1, 10**6))) for _ in range(n)]
+                weights[rng.randrange(n)] += 1
+                rows.append([Fraction(w, sum(weights)) for w in weights])
+            ch = build_chain(range(n), rows, "rational")
+            floats = [[float(p) for p in row] for row in ch.kernel]
+            assert ch.as_double().kernel == tuple(tuple(p / sum(row) for p in row) for row in floats)
+
+    def test_as_double_on_carpet_walk_chain(self):
+        ch = walk_from_network(uniform_network(carpet_graph(standard_carpet(), 3), "rational"))
+        assert ch.n == 688
+        want = []
+        for row in ch.kernel:
+            floats = [float(p) for p in row]
+            total = sum(floats)
+            want.append(tuple(p / total for p in floats))
+        dbl = ch.as_double()
+        assert dbl.mode == "double" and dbl.states == ch.states
+        assert dbl.kernel == tuple(want)
 
     def test_row_sum_enforced(self):
         with pytest.raises(ValueError, match="sums"):
@@ -172,6 +213,94 @@ class TestSampling:
         ch = escape_chain().as_double()
         path = sample_until_entry(ch, "a", {"c"}, trajectory_stream(5, 0))
         assert path[-1] == "c"
+
+
+def _walk_one_uniform_per_step(nbrs, cums, start, is_target, rng):
+    """Reference walk: one rng.random() call per step, no step cap."""
+    path = [start]
+    while not is_target[path[-1]]:
+        v = path[-1]
+        path.append(nbrs[v][bisect_right(cums[v], rng.random())])
+    return path
+
+
+class TestUniformBlocks:
+    EDGES = (64, 192, 448, 960)  # steps drawn by the first one to four blocks
+
+    def test_block_edges(self):
+        sizes = [min(WALK_BLOCK_FIRST << k, WALK_BLOCK_MAX) for k in range(5)]
+        assert [sum(sizes[: k + 1]) for k in range(4)] == list(self.EDGES)
+
+    @pytest.mark.parametrize("m, count", [(2, 300), (3, 25)])
+    def test_walks_equal_one_uniform_per_step(self, m, count):
+        g = carpet_graph(standard_carpet(), m)
+        c = corner_indices(g)
+        chain = walk_from_network(uniform_network(g, "double"))
+        nbrs, cums = _row_tables(chain)
+        is_target = [i == c[-1] for i in range(chain.n)]
+        steps = []
+        for i in range(count):
+            got = _walk(nbrs, cums, c[0], is_target, trajectory_stream(23, i), 10**7)
+            want = _walk_one_uniform_per_step(nbrs, cums, c[0], is_target, trajectory_stream(23, i))
+            assert got == want, i
+            assert sample_until_entry(chain, c[0], [c[-1]], trajectory_stream(23, i)) == tuple(got)
+            steps.append(len(got) - 1)
+        assert max(steps) > self.EDGES[-1]
+        if m == 2:
+            # some walk ends in each of the first five blocks, and one on
+            # the last uniform of the first
+            bounds = (0, *self.EDGES, 1984)
+            assert all(any(lo < s <= hi for s in steps) for lo, hi in zip(bounds, bounds[1:]))
+            assert self.EDGES[0] in steps
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 191, 192, 193, 1024, 2048])
+    def test_step_cap_exact_at_block_edges(self, length):
+        # a line 0 -> 1 -> ... -> length needs exactly `length` steps
+        nbrs = [[v + 1] for v in range(length)] + [[length]]
+        cums = [[1.0]] * (length + 1)
+        is_target = [False] * length + [True]
+        path = _walk(nbrs, cums, 0, is_target, trajectory_stream(0, length), length)
+        assert path == list(range(length + 1))
+        with pytest.raises(StepCapExceeded):
+            _walk(nbrs, cums, 0, is_target, trajectory_stream(0, length), length - 1)
+
+
+class TestStreams:
+    WORDS = (0, 1, 2**63, 2**64 - 1)
+
+    @pytest.mark.parametrize("master", WORDS)
+    @pytest.mark.parametrize("index", WORDS)
+    def test_stream_equals_philox_keyed(self, master, index):
+        got = trajectory_stream(master, index)
+        want = np.random.Generator(np.random.Philox(key=np.array([master, index], dtype=np.uint64)))
+        assert np.array_equal(got.random(5000), want.random(5000))
+        assert np.array_equal(got.integers(0, 2**63, size=100), want.integers(0, 2**63, size=100))
+        assert np.array_equal(got.integers(7, size=100), want.integers(7, size=100))
+        assert got.random() == want.random()
+
+    def test_key_state_requests(self):
+        key = _philox_key(2**64 - 1, 5)
+        state = key.generate_state(2, np.uint64)
+        assert state.dtype == np.uint64 and state.tolist() == [2**64 - 1, 5]
+        with pytest.raises(ValueError, match="two uint64 words"):
+            key.generate_state(4, np.uint32)
+        with pytest.raises(ValueError, match="two uint64 words"):
+            key.generate_state(2, np.uint32)
+        with pytest.raises(OverflowError):
+            trajectory_stream(-1, 0)
+
+    def test_stream_pickles_mid_stream(self):
+        rng = trajectory_stream(2**64 - 1, 3)
+        rng.random(17)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert np.array_equal(copy.random(100), rng.random(100))
+        assert copy.bit_generator.seed_seq.generate_state(2, np.uint64).tolist() == [2**64 - 1, 3]
+
+    def test_import_does_not_load_numpy_random(self):
+        # sampling loads numpy.random on first use; other jobs never pay for it
+        code = "import sys, lerw; sys.exit('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestStepRule:

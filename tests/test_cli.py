@@ -54,6 +54,27 @@ class TestResist:
         summary = read_json(tmp_path / "resist.json")
         assert summary["checks"]["ratio_band"] is True
         assert summary["results"]["gamma_hat"] == pytest.approx(0.7369655941662062)
+        # exact values are written as fraction strings
+        assert summary["results"]["ratio_differences"] == {p: ["0", "0"] for p in ("0-1", "0-2", "1-2")}
+        assert summary["results"]["aitken_limit"] == {p: "5/3" for p in ("0-1", "0-2", "1-2")}
+
+    def test_ratio_extrapolation_in_summary(self, tmp_path):
+        # rational: exact strings equal to the library's Fractions;
+        # double: floats, and null with fewer than three ratios
+        rat, dbl = tmp_path / "rat", tmp_path / "dbl"
+        assert main(
+            ["resist", "--carpet", "standard", "-m", "0..3", "--mode", "rational",
+             "--pair", "0-3", "--out", str(rat)]
+        ) == 0
+        assert main(["resist", "--carpet", "standard", "-m", "1..3", "--out", str(dbl)]) == 0
+        res = resistance_scaling("carpet", range(4), template=standard_carpet(), mode="rational", pairs=[(0, 3)])
+        got = read_json(rat / "resist.json")["results"]
+        assert [Fraction(d) for d in got["ratio_differences"]["0-3"]] == res["ratio_differences"][0, 3]
+        assert Fraction(got["aitken_limit"]["0-3"]) == res["aitken_limit"][0, 3]
+        got = read_json(dbl / "resist.json")["results"]
+        assert set(got["aitken_limit"]) == set(got["ratio_spread"]) and len(got["aitken_limit"]) == 6
+        assert all(a is None for a in got["aitken_limit"].values())
+        assert all(len(ds) == 1 and isinstance(ds[0], float) for ds in got["ratio_differences"].values())
 
     def test_carpet_band_violation_exits_one(self, tmp_path):
         code = main(

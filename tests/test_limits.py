@@ -35,6 +35,7 @@ from lerw.limits import (
     EmpiricalSetLaw,
     WalkConfig,
     _graph_walks,
+    aitken_limit,
     coupled_refinement_distance,
     empirical_tv,
     hausdorff,
@@ -481,6 +482,32 @@ class TestResistanceScaling:
         assert max(res["ratio_spread"].values()) > 0.05
         c1, c2 = res["envelope"]
         assert 0 < c1 < c2 < float("inf")
+
+    def test_aitken_limit_cases(self):
+        f = Fraction
+        assert aitken_limit([]) is None and aitken_limit([f(3), f(2)]) is None
+        # a geometric approach to L: delta-squared returns L exactly
+        assert aitken_limit([f(5, 4) + f(1, 2) * f(3, 5) ** n for n in range(6)]) == f(5, 4)
+        assert aitken_limit([f(5, 3)] * 4) == f(5, 3)
+        assert aitken_limit([f(2), f(1), f(1)]) == 1  # constant tail
+        assert aitken_limit([f(3), f(2), f(1)]) is None  # equal steps: no limit
+        assert aitken_limit([1.7005, 1.5495, 1.4534, 1.3939]) == pytest.approx(1.2971, abs=1e-4)
+
+    def test_ratio_differences_and_aitken(self):
+        gasket = resistance_scaling("gasket", range(5), mode="rational")
+        for pair, ds in gasket["ratio_differences"].items():
+            assert ds == [0, 0, 0] and gasket["aitken_limit"][pair] == Fraction(5, 3)
+        carpet = resistance_scaling(
+            "carpet", range(4), template=standard_carpet(), mode="rational", pairs=[(0, 3), (0, 1)]
+        )
+        for pair, (r0, r1, r2) in carpet["ratios"].items():
+            assert carpet["ratio_differences"][pair] == [r1 - r0, r2 - r1]
+            a = carpet["aitken_limit"][pair]
+            assert isinstance(a, Fraction)
+            assert a == r2 - (r2 - r1) ** 2 / ((r2 - r1) - (r1 - r0))
+        short = resistance_scaling("carpet", (1, 2, 3), template=standard_carpet(), pairs=[(0, 3)])
+        assert short["aitken_limit"] == {(0, 3): None}
+        assert len(short["ratio_differences"][0, 3]) == 1
 
     def test_probe_pair_selection(self):
         res = resistance_scaling(
