@@ -411,11 +411,11 @@ def _cmd_graph(cfg: dict) -> int:
         "level": graph.level,
         "grid": graph.grid,
         "vertices": graph.n,
-        "edges": len(graph.edges),
-        "nested_sizes": [len(s) for s in graph.nested],
+        "edges": len(graph.ends),
+        "nested_sizes": [len(s) for s in graph.level_sets],
         "corners": list(corner_indices(graph)),
     }
-    print(f"graph: {graph.kind} level {graph.level}: {graph.n} vertices, {len(graph.edges)} edges")
+    print(f"graph: {graph.kind} level {graph.level}: {graph.n} vertices, {len(graph.ends)} edges")
     return _finish(
         "graph",
         cfg,

@@ -5,13 +5,21 @@ denominator per level, so vertex dedup and edge detection never touch a
 float. The gasket uses the affine basis spanned by two triangle sides
 (both basis coordinates are then dyadic rationals); to_xy produces the
 planar embedding when a metric needs real positions.
+
+Both generators work on arrays: cells are addressed by broadcasting over
+their address words, and vertices are de-duplicated by integer keys.  A
+`FractalGraph` holds integer arrays (grid pairs, edge ends, one sorted
+index array per level); its tuple views are built only when read.
+`uniform_network`, `to_xy`, `corner_indices` and `adjacency_arrays`
+read the arrays, so the double-mode experiments never build the views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from functools import cached_property, partial
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -129,28 +137,90 @@ def template_from_text(text: str) -> CarpetTemplate:
     return CarpetTemplate(k, frozenset(cells))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FractalGraph:
+    """A gasket or carpet approximation graph held as integer arrays.
+
+    `points` holds the n vertices as integer grid pairs (a, b) over the
+    common denominator `grid`, `ends` the edges as vertex index pairs, one
+    row per edge, and `level_sets` one sorted vertex index array per
+    level 0..m.  The arrays are read-only.  The generators give each edge
+    as a sorted pair, the rows in sorted order.
+
+    The constructor takes either arrays or the tuple form: vertices as
+    grid pairs, edges as index pairs and nested as vertex sets (tests
+    build small graphs by hand that way).  It stores the arrays only.
+    `vertices`, `edges` and `nested` give the tuple form back as
+    read-only views, each built on first read and cached; code on the
+    double-mode path reads the arrays and never builds them.
+    """
+
     kind: str  # "gasket" or "carpet"
     level: int
     grid: int  # common coordinate denominator: 2^m or k^m
-    vertices: tuple  # integer (a, b) grid pairs over the denominator
-    edges: tuple  # sorted index pairs
-    nested: tuple  # frozensets of vertex indices, one per level 0..m
+    points: np.ndarray  # n x 2 integer grid pairs over the denominator
+    ends: np.ndarray  # edges as vertex index pairs, one row each
+    level_sets: tuple  # sorted vertex index arrays, one per level 0..m
+
+    def __init__(self, kind: str, level: int, grid: int, vertices, edges, nested):
+        put = partial(object.__setattr__, self)
+        put("kind", kind)
+        put("level", level)
+        put("grid", grid)
+        put("points", _frozen(np.asarray(vertices, dtype=np.int64).reshape(-1, 2)))
+        put("ends", _frozen(np.asarray(edges, dtype=np.int64).reshape(-1, 2)))
+        put("level_sets", tuple(
+            _frozen(s if isinstance(s, np.ndarray) else np.array(sorted(s), dtype=np.int64))
+            for s in nested
+        ))
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.points)
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """Integer (a, b) grid pairs over the denominator, in vertex order."""
+        return tuple(map(tuple, self.points.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Index pairs, in edge order."""
+        return tuple(map(tuple, self.ends.tolist()))
+
+    @cached_property
+    def nested(self) -> tuple:
+        """Frozensets of vertex indices, one per level 0..m."""
+        return tuple(frozenset(s.tolist()) for s in self.level_sets)
+
+    def __eq__(self, other):
+        if not isinstance(other, FractalGraph):
+            return NotImplemented
+        return (
+            (self.kind, self.level, self.grid) == (other.kind, other.level, other.grid)
+            and np.array_equal(self.points, other.points)
+            and np.array_equal(self.ends, other.ends)
+            and len(self.level_sets) == len(other.level_sets)
+            and all(map(np.array_equal, self.level_sets, other.level_sets))
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.level, self.grid, self.n, len(self.ends)))
 
     def coordinates(self) -> tuple:
         """Exact rational coordinate pairs (affine basis for the gasket)."""
         g = self.grid
-        return tuple((Fraction(a, g), Fraction(b, g)) for a, b in self.vertices)
+        return tuple((Fraction(a, g), Fraction(b, g)) for a, b in self.points.tolist())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def to_xy(graph: FractalGraph) -> np.ndarray:
     """Planar float embedding; gasket basis vectors are (1,0) and (1/2, sqrt3/2)."""
-    pts = np.array(graph.vertices, dtype=float) / graph.grid
+    pts = graph.points / graph.grid
     if graph.kind == "gasket":
         x = pts[:, 0] + 0.5 * pts[:, 1]
         y = pts[:, 1] * (3.0**0.5 / 2.0)
@@ -158,74 +228,90 @@ def to_xy(graph: FractalGraph) -> np.ndarray:
     return pts
 
 
-def _guard(count: int, max_vertices: int):
+def _guard(count: int, what: str, max_vertices: int):
     if count > max_vertices:
-        raise ValueError(f"level needs about {count} vertices, above the {max_vertices} cap")
+        raise ValueError(f"level needs {what}, above the {max_vertices} cap")
+
+
+class _CellCorners:
+    """The corners of a fractal's cells, as integer keys x * side + y on
+    the level-m grid.
+
+    Cells are addressed by words over the template's offsets (first
+    letter slowest, letters in offset order).  Vertices are the corners
+    of the level-m cells in order of first appearance, cells in address
+    order and each cell's corners in `corners` order.
+    """
+
+    def __init__(self, k: int, offsets, corners, m: int):
+        ox, oy = np.array(offsets, dtype=np.int64).T
+        # lower-left corners of the level-j cells for j = 0..m, in units of k^-j
+        self.bases = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))]
+        for _ in range(m):
+            bx, by = self.bases[-1]
+            self.bases.append(((bx[:, None] * k + ox).ravel(), (by[:, None] * k + oy).ravel()))
+        self.k, self.m = k, m
+        self.cx, self.cy = np.array(corners, dtype=np.int64).T
+        self.side = k**m + 1
+        self.keys = self.corner_keys(m)
+        self.uniq, first = np.unique(self.keys, return_index=True)
+        self.vkeys = self.keys[np.sort(first)]
+        self.n = len(self.vkeys)
+        self.vid = np.empty(self.n, dtype=np.int64)
+        self.vid[np.searchsorted(self.uniq, self.vkeys)] = np.arange(self.n)
+
+    def corner_keys(self, j: int) -> np.ndarray:
+        """Keys of every level-j cell's corners, cell by cell, on the level-m grid."""
+        bx, by = self.bases[j]
+        scale = self.k ** (self.m - j)
+        x = (bx[:, None] + self.cx) * scale
+        y = (by[:, None] + self.cy) * scale
+        return (x * self.side + y).ravel()
+
+    def lookup(self, q: np.ndarray) -> np.ndarray:
+        """Vertex index of each key in q, or -1 where q is no vertex."""
+        r = np.minimum(np.searchsorted(self.uniq, q), len(self.uniq) - 1)
+        return np.where(self.uniq[r] == q, self.vid[r], -1)
+
+    def points(self) -> np.ndarray:
+        """The vertices' (x, y) grid pairs, in vertex order."""
+        return np.column_stack(np.divmod(self.vkeys, self.side))
+
+    def level_sets(self) -> tuple:
+        """Level j keeps the corners of the level-j cells; level m keeps all."""
+        sets = []
+        for j in range(self.m):
+            keep = np.zeros(self.n, dtype=bool)
+            keep[self.lookup(self.corner_keys(j))] = True
+            sets.append(np.flatnonzero(keep))
+        return (*sets, np.arange(self.n))
+
+
+def _sorted_pairs(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Edges (min, max) of each pair i, j, rows sorted."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    key = np.sort(lo * n + hi)
+    return np.column_stack(np.divmod(key, n))
 
 
 def gasket_graph(m: int, max_vertices: int = MAX_VERTICES) -> FractalGraph:
     """Level-m gasket graph: three half-scale copies glued at corners.
 
-    Cells are addressed by words over the three corner maps; each level-m
-    cell contributes its three sides as edges.
+    Cells are addressed by words over the three corner maps, and built
+    with array operations as `carpet_graph` builds carpet cells.
+    Vertices come in order of first appearance among the cells' corners
+    (x, y), (x + 1, y), (x, y + 1); each level-m cell contributes its
+    three sides as edges, sorted index pairs; level j keeps the corners
+    of the level-j cells.
     """
     if m < 0:
         raise ValueError("level must be >= 0")
-    _guard((3 ** (m + 1) + 3) // 2, max_vertices)
-    grid = 2**m
-    corners = ((0, 0), (grid, 0), (0, grid))
-    index: dict = {}
-    vertices: list = []
-    edges: set = set()
-
-    def vid(p) -> int:
-        i = index.get(p)
-        if i is None:
-            i = len(vertices)
-            index[p] = i
-            vertices.append(p)
-        return i
-
-    def cell(base, size):
-        (bx, by) = base
-        if size == 1:
-            ids = [vid((bx, by)), vid((bx + 1, by)), vid((bx, by + 1))]
-            for s in range(3):
-                a, b = ids[s], ids[(s + 1) % 3]
-                edges.add((a, b) if a < b else (b, a))
-            return
-        half = size // 2
-        cell((bx, by), half)
-        cell((bx + half, by), half)
-        cell((bx, by + half), half)
-
-    if m == 0:
-        ids = [vid(c) for c in corners]
-        for s in range(3):
-            a, b = ids[s], ids[(s + 1) % 3]
-            edges.add((a, b) if a < b else (b, a))
-    else:
-        cell((0, 0), grid)
-
-    nested = []
-    for j in range(m + 1):
-        step = 2 ** (m - j)
-        level: set = set()
-        # the level-j vertex set, scaled onto the level-m grid
-        def mark(base, size):
-            (bx, by) = base
-            if size == step:
-                for dx, dy in ((0, 0), (size, 0), (0, size)):
-                    level.add(index[(bx + dx, by + dy)])
-                return
-            half = size // 2
-            mark((bx, by), half)
-            mark((bx + half, by), half)
-            mark((bx, by + half), half)
-
-        mark((0, 0), grid)
-        nested.append(frozenset(level))
-    return FractalGraph("gasket", m, grid, tuple(vertices), tuple(sorted(edges)), tuple(nested))
+    count = (3 ** (m + 1) + 3) // 2
+    _guard(count, f"about {count} vertices", max_vertices)
+    cells = _CellCorners(2, ((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1)), m)
+    c0, c1, c2 = cells.lookup(cells.keys).reshape(-1, 3).T
+    ends = _sorted_pairs(np.concatenate([c0, c1, c2]), np.concatenate([c1, c2, c0]), cells.n)
+    return FractalGraph("gasket", m, 2**m, cells.points(), ends, cells.level_sets())
 
 
 def carpet_graph(
@@ -244,92 +330,62 @@ def carpet_graph(
     if m < 0:
         raise ValueError("level must be >= 0")
     k = template.k
-    _guard(4 * len(template.cells) ** m, max_vertices)
-    ox, oy = np.array(sorted((i - 1, j - 1) for i, j in template.cells)).T
-    # lower-left corners of the level-j cells, for j = 0..m, in the order
-    # of the address words (first letter slowest, letters in offset order)
-    bases = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))]
-    for _ in range(m):
-        bx, by = bases[-1]
-        bases.append(((bx[:, None] * k + ox).ravel(), (by[:, None] * k + oy).ravel()))
-
-    grid = k**m
-    side = grid + 1  # point (x, y) has the integer key x * side + y
-
-    def corner_keys(bx, by, scale):
-        """Keys of every cell's four corners, cell by cell, on the level-m grid."""
-        x = (bx[:, None] + (0, 1, 0, 1)) * scale
-        y = (by[:, None] + (0, 0, 1, 1)) * scale
-        return (x * side + y).ravel()
-
-    # vertices in order of first appearance among the cell corners
-    keys = corner_keys(*bases[m], 1)
-    uniq, first = np.unique(keys, return_index=True)
-    vkeys = keys[np.sort(first)]
-    vid = np.empty(len(uniq), dtype=np.int64)
-    vid[np.searchsorted(uniq, vkeys)] = np.arange(len(vkeys))
-
-    def lookup(q):
-        """Vertex index of each key in q, or -1 where q is no vertex."""
-        r = np.minimum(np.searchsorted(uniq, q), len(uniq) - 1)
-        return np.where(uniq[r] == q, vid[r], -1)
-
-    vx, vy = np.divmod(vkeys, side)
-    ends = []
-    for step, inside in ((side, vx < grid), (1, vy < grid)):  # right, up
+    # the guard counts the key arrays the build allocates: 4 corners a cell
+    count = 4 * len(template.cells) ** m
+    _guard(count, f"{count} cell corners", max_vertices)
+    offsets = sorted((i - 1, j - 1) for i, j in template.cells)
+    cells = _CellCorners(k, offsets, ((0, 0), (1, 0), (0, 1), (1, 1)), m)
+    grid, points = k**m, cells.points()
+    ii, jj = [], []
+    for step, inside in ((cells.side, points[:, 0] < grid), (1, points[:, 1] < grid)):  # right, up
         i = np.flatnonzero(inside)
-        j = lookup(vkeys[i] + step)
+        j = cells.lookup(cells.vkeys[i] + step)
         hit = j >= 0
-        ends.append((i[hit], j[hit]))
-    a = np.concatenate([np.minimum(i, j) for i, j in ends])
-    b = np.concatenate([np.maximum(i, j) for i, j in ends])
-    order = np.lexsort((b, a))
-    edges = tuple(zip(a[order].tolist(), b[order].tolist()))
-
-    nested = tuple(
-        frozenset(lookup(corner_keys(*bases[j], k ** (m - j))).tolist()) for j in range(m + 1)
-    )
-    vertices = tuple(zip(vx.tolist(), vy.tolist()))
-    return FractalGraph("carpet", m, grid, vertices, edges, nested)
+        ii.append(i[hit])
+        jj.append(j[hit])
+    ends = _sorted_pairs(np.concatenate(ii), np.concatenate(jj), cells.n)
+    return FractalGraph("carpet", m, grid, points, ends, cells.level_sets())
 
 
 def corner_indices(graph: FractalGraph) -> tuple:
-    """Outer corners in canonical order (3 for the gasket, 4 for the carpet)."""
+    """Outer corners in canonical order (3 for the gasket, 4 for the carpet).
+
+    A graph with no vertex at some corner point raises ValueError.
+    """
     g = graph.grid
     if graph.kind == "gasket":
         want = ((0, 0), (g, 0), (0, g))
     else:
         want = ((0, 0), (g, 0), (0, g), (g, g))
-    pos = {p: i for i, p in enumerate(graph.vertices)}
-    return tuple(pos[p] for p in want)
+    x, y = graph.points.T
+    out = []
+    for p in want:
+        hit = np.flatnonzero((x == p[0]) & (y == p[1]))
+        if not hit.size:
+            raise ValueError(f"the {graph.kind} graph has no vertex at corner point {p}")
+        out.append(int(hit[0]))
+    return tuple(out)
 
 
 def uniform_network(graph: FractalGraph, mode: str = "rational") -> ElectricalNetwork:
     """Unit conductances on the graph's edges; the walk is the SRW."""
-    m = len(graph.edges)
-    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * m)
+    m = len(graph.ends)
     ones = np.ones(m) if mode == "double" else (Fraction(1),) * m
-    return ElectricalNetwork._from_arrays(range(graph.n), ends, ones, mode)
+    return ElectricalNetwork._from_arrays(range(graph.n), graph.ends, ones, mode)
 
 
 def adjacency_arrays(graph: FractalGraph):
-    """CSR-style neighbor arrays (indptr, neighbors) for fast sampling."""
-    deg = np.zeros(graph.n + 1, dtype=np.int64)
-    for a, b in graph.edges:
-        deg[a + 1] += 1
-        deg[b + 1] += 1
-    indptr = np.cumsum(deg)
-    nbr = np.zeros(indptr[-1], dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for a, b in graph.edges:
-        nbr[fill[a]] = b
-        fill[a] += 1
-        nbr[fill[b]] = a
-        fill[b] += 1
-    # sorted neighbor lists make sampling order reproducible
-    for i in range(graph.n):
-        nbr[indptr[i] : indptr[i + 1]].sort()
-    return indptr, nbr
+    """CSR-style neighbor arrays (indptr, neighbors) for fast sampling.
+
+    Each vertex's neighbours are sorted, which makes sampling order
+    reproducible.
+    """
+    a, b = graph.ends.T
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=graph.n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
 
 
 def graph_to_text(graph: FractalGraph) -> tuple:
@@ -339,5 +395,5 @@ def graph_to_text(graph: FractalGraph) -> tuple:
         f"{i} {c[0].numerator} {c[0].denominator} {c[1].numerator} {c[1].denominator}"
         for i, c in enumerate(coords)
     ]
-    elines = [f"{a} {b}" for a, b in graph.edges]
+    elines = [f"{a} {b}" for a, b in graph.ends.tolist()]
     return "\n".join(vlines) + "\n", "\n".join(elines) + "\n"

@@ -208,7 +208,7 @@ def _graph_walks(config: WalkConfig, x: int, targets: Iterable, count: int):
     flat, bounds = nbr.tolist(), indptr.tolist()
     nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     if not nbrs[x]:
-        raise ValueError(f"start vertex {x} at {g.vertices[x]} has no neighbours")
+        raise ValueError(f"start vertex {x} at {tuple(g.points[x].tolist())} has no neighbours")
     # rows of equal degree share one cumulative list
     shared = {d: _cum_row(np.full(d, 1.0) / d) for d in {len(r) for r in nbrs}}
     cums = [shared[len(r)] for r in nbrs]
@@ -271,7 +271,7 @@ def coupled_refinement_distance(
     if not 0 <= m <= g.level:
         raise ValueError("stage level out of range")
     erasable = np.zeros(g.n, dtype=bool)
-    erasable[list(g.nested[m])] = True
+    erasable[g.level_sets[m]] = True
     walks = _graph_walks(config, x, targets, num_samples)
     xy = to_xy(g)
     dists = np.empty(num_samples)
@@ -457,10 +457,10 @@ def kernel_convergence(
     kernels = []
     for mp in mps:
         g = _family_graph(kind, mp, template)
-        vset = sorted(g.nested[m])
+        vset = g.level_sets[m].tolist()
         traced = trace_network(uniform_network(g, "double"), vset)
         scale = g.grid // base.grid
-        key_of = {v: (g.vertices[v][0] // scale, g.vertices[v][1] // scale) for v in vset}
+        key_of = dict(zip(vset, map(tuple, (g.points[vset] // scale).tolist())))
         y = corner_indices(g)[y_corner]
         rows = {}
         for v in vset:

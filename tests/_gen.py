@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from lerw.chain import MarkovChain, build_chain
+from lerw.fractal import FractalGraph
 
 LETTERS = "abcdefgh"
 
@@ -83,3 +84,11 @@ def nested_sequences(states, levels: int):
 
     for s in subsets:
         yield from extend([s])
+
+
+def path_stub(n, edges=None, kind="carpet") -> FractalGraph:
+    """Tiny hand-built graph reusing the fractal plumbing for sampling."""
+    verts = tuple((i, 0) for i in range(n))
+    if edges is None:
+        edges = tuple((i, i + 1) for i in range(n - 1))
+    return FractalGraph(kind, 0, 1, verts, tuple(edges), (frozenset(range(n)),))

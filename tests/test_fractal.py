@@ -23,6 +23,8 @@ from lerw.fractal import (
 )
 from lerw.network import ElectricalNetwork, effective_resistance, laplacian
 
+from _gen import path_stub
+
 
 def reference_carpet_graph(template: CarpetTemplate, m: int) -> FractalGraph:
     """The dict-and-set carpet builder that `carpet_graph` vectorizes:
@@ -60,6 +62,97 @@ def reference_carpet_graph(template: CarpetTemplate, m: int) -> FractalGraph:
                 level.add(index[((x + dx) * scale, (y + dy) * scale)])
         nested.append(frozenset(level))
     return FractalGraph("carpet", m, k**m, tuple(vertices), tuple(sorted(edges)), tuple(nested))
+
+
+def reference_gasket_graph(m: int) -> FractalGraph:
+    """The recursive gasket builder that `gasket_graph` vectorizes: cells
+    are visited depth first, children in corner-map order, each unit
+    cell adds its corners (x, y), (x + 1, y), (x, y + 1) in order of
+    first appearance and its three sides as edges, and level j keeps the
+    corners of the level-j cells."""
+    grid = 2**m
+    index: dict = {}
+    vertices: list = []
+    edges: set = set()
+
+    def vid(p) -> int:
+        i = index.get(p)
+        if i is None:
+            i = len(vertices)
+            index[p] = i
+            vertices.append(p)
+        return i
+
+    def cell(base, size):
+        (bx, by) = base
+        if size == 1:
+            ids = [vid((bx, by)), vid((bx + 1, by)), vid((bx, by + 1))]
+            for s in range(3):
+                a, b = ids[s], ids[(s + 1) % 3]
+                edges.add((a, b) if a < b else (b, a))
+            return
+        half = size // 2
+        cell((bx, by), half)
+        cell((bx + half, by), half)
+        cell((bx, by + half), half)
+
+    cell((0, 0), grid)
+    nested = []
+    for j in range(m + 1):
+        step = 2 ** (m - j)
+        level: set = set()
+
+        def mark(base, size):
+            (bx, by) = base
+            if size == step:
+                for dx, dy in ((0, 0), (size, 0), (0, size)):
+                    level.add(index[(bx + dx, by + dy)])
+                return
+            half = size // 2
+            mark((bx, by), half)
+            mark((bx + half, by), half)
+            mark((bx, by + half), half)
+
+        mark((0, 0), grid)
+        nested.append(frozenset(level))
+    return FractalGraph("gasket", m, grid, tuple(vertices), tuple(sorted(edges)), tuple(nested))
+
+
+def reference_adjacency_arrays(graph: FractalGraph):
+    """The edge loop `adjacency_arrays` vectorizes: degrees counted per
+    edge end, neighbours filled in edge order, then each list sorted."""
+    deg = np.zeros(graph.n + 1, dtype=np.int64)
+    for a, b in graph.edges:
+        deg[a + 1] += 1
+        deg[b + 1] += 1
+    indptr = np.cumsum(deg)
+    nbr = np.zeros(indptr[-1], dtype=np.int64)
+    fill = indptr[:-1].copy()
+    for a, b in graph.edges:
+        nbr[fill[a]] = b
+        fill[a] += 1
+        nbr[fill[b]] = a
+        fill[b] += 1
+    for i in range(graph.n):
+        nbr[indptr[i] : indptr[i + 1]].sort()
+    return indptr, nbr
+
+
+def assert_matches_reference(g: FractalGraph, ref: FractalGraph):
+    """The array graph's views, corners and embedding equal those of the
+    tuple-built reference, computed from its tuples."""
+    assert g.vertices == ref.vertices
+    assert g.edges == ref.edges
+    assert g.nested == ref.nested
+    assert g == ref
+    pos = {p: i for i, p in enumerate(ref.vertices)}
+    d = ref.grid
+    want = ((0, 0), (d, 0), (0, d)) if ref.kind == "gasket" else ((0, 0), (d, 0), (0, d), (d, d))
+    assert corner_indices(g) == tuple(pos[p] for p in want)
+    pts = np.array(ref.vertices, dtype=float) / d
+    if ref.kind == "gasket":
+        pts = np.column_stack([pts[:, 0] + 0.5 * pts[:, 1], pts[:, 1] * (3.0**0.5 / 2.0)])
+    assert np.array_equal(to_xy(g), pts)
 
 
 def ring_template(k: int) -> CarpetTemplate:
@@ -109,8 +202,13 @@ class TestGasket:
                 assert mapped == set(g.edges)
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="cap"):
+        # the gasket guard counts vertices exactly: 42 at level 3
+        with pytest.raises(ValueError, match=r"^level needs about 42 vertices, above the 10 cap$"):
             gasket_graph(3, max_vertices=10)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_equals_reference_builder(self, m):
+        assert_matches_reference(gasket_graph(m), reference_gasket_graph(m))
 
     def test_to_xy_unit_sides(self):
         g = gasket_graph(1)
@@ -231,12 +329,15 @@ class TestCarpet:
         [(standard_carpet(), m) for m in range(6)] + [(ring_template(4), m) for m in range(4)],
     )
     def test_equals_reference_builder(self, template, m):
-        g = carpet_graph(template, m)
-        ref = reference_carpet_graph(template, m)
-        assert g.vertices == ref.vertices
-        assert g.edges == ref.edges
-        assert g.nested == ref.nested
-        assert g == ref
+        assert_matches_reference(carpet_graph(template, m), reference_carpet_graph(template, m))
+
+    def test_guard_counts_cell_corners(self):
+        # 8^7 cells, 4 corners each: the size of the build's key arrays,
+        # not of the vertex set (about 2.6M at level 7)
+        with pytest.raises(
+            ValueError, match=r"^level needs 8388608 cell corners, above the 5000000 cap$"
+        ):
+            carpet_graph(standard_carpet(), 7)
 
     def test_coordinates_exact(self):
         g = carpet_graph(standard_carpet(), 2)
@@ -253,6 +354,36 @@ class TestGraphPlumbing:
         assert g.vertices[ids[0]] == (0, 0)
         c = carpet_graph(standard_carpet(), 1)
         assert len(corner_indices(c)) == 4
+
+    def test_missing_corner_is_named(self):
+        g = FractalGraph("carpet", 0, 1, ((0, 0), (1, 0), (0, 1)), ((0, 1), (0, 2)), ({0, 1, 2},))
+        with pytest.raises(ValueError, match=r"no vertex at corner point \(1, 1\)"):
+            corner_indices(g)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gasket_graph(m) for m in range(5)]
+        + [carpet_graph(standard_carpet(), m) for m in range(4)]
+        + [path_stub(2), path_stub(3), path_stub(3, edges=((0, 1),)), path_stub(4, edges=((0, 1), (2, 3)))],
+        ids=lambda g: f"{g.kind}-{g.level}-n{g.n}-e{len(g.ends)}",
+    )
+    def test_adjacency_matches_edge_loop(self, graph):
+        indptr, nbr = adjacency_arrays(graph)
+        ref_indptr, ref_nbr = reference_adjacency_arrays(graph)
+        for got, want in ((indptr, ref_indptr), (nbr, ref_nbr)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_views_are_read_only_and_cached(self):
+        g = carpet_graph(standard_carpet(), 2)
+        for name in ("vertices", "edges", "nested"):
+            assert getattr(g, name) is getattr(g, name)
+        for a in (g.points, g.ends, *g.level_sets):
+            assert not a.flags.writeable
+        # the tuple form builds an equal graph holding arrays only
+        h = FractalGraph(g.kind, g.level, g.grid, g.vertices, g.edges, g.nested)
+        assert h == g and hash(h) == hash(g)
+        assert not {"vertices", "edges", "nested"} & set(vars(h))
 
     def test_uniform_network_gasket_m0(self):
         net = uniform_network(gasket_graph(0))

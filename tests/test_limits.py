@@ -24,6 +24,7 @@ from lerw.chain import (
 from lerw.erasure import loop_erase, partial_loop_erase
 from lerw.fractal import (
     FractalGraph,
+    adjacency_arrays,
     carpet_graph,
     corner_indices,
     gasket_graph,
@@ -55,17 +56,11 @@ from lerw.network import (
     walk_from_network,
 )
 
+from _gen import path_stub
+
 
 def law(kind, grid, atoms):
     return EmpiricalSetLaw(kind, grid, atoms, sum(atoms.values()))
-
-
-def path_stub(n, edges=None, kind="carpet"):
-    """Tiny hand-built graph reusing the fractal plumbing for sampling."""
-    verts = tuple((i, 0) for i in range(n))
-    if edges is None:
-        edges = tuple((i, i + 1) for i in range(n - 1))
-    return FractalGraph(kind, 0, 1, verts, tuple(edges), (frozenset(range(n)),))
 
 
 class TestHausdorff:
@@ -665,3 +660,37 @@ class TestKernelConvergence:
         template = standard_carpet() if kind == "carpet" else None
         with pytest.raises(ValueError, match=f"corner index {corner} .* has {count} corners"):
             kernel_convergence(kind, 1, corner, [1, 2], template=template)
+
+
+class TestArrayPath:
+    """The double-mode experiments read a graph's arrays and never build
+    its tuple views, which cost more than the array build itself."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the views built while the fixture is active."""
+        log = []
+        for name in ("vertices", "edges", "nested"):
+            view = FractalGraph.__dict__[name]
+
+            def spy(graph, name=name, view=view):
+                log.append(name)
+                return view.func(graph)
+
+            monkeypatch.setattr(FractalGraph, name, property(spy))
+        return log
+
+    def test_spies_see_a_view_build(self, built):
+        g = carpet_graph(standard_carpet(), 1)
+        assert len(g.edges) == 24 and built == ["edges"]
+
+    def test_double_experiments_build_no_views(self, built):
+        template = standard_carpet()
+        resistance_scaling("carpet", [1, 2, 3], template=template, mode="double")
+        kernel_convergence("carpet", 1, 0, [1, 2, 3], template=template)
+        for g in (carpet_graph(template, 2), gasket_graph(3)):
+            uniform_network(g, "double")
+            to_xy(g)
+            corner_indices(g)
+            adjacency_arrays(g)
+        assert built == []
