@@ -24,9 +24,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import ElectricalNetwork
+from .network import ElectricalNetwork, _dense_trace, trace_network
 
 MAX_VERTICES = 5_000_000
+# points of the largest dense Laplacian one carpet glue may hold: 512 MB
+# a matrix, so carpet level 7 fits and level 8 (about 17,500) does not
+MAX_DENSE_FRONT = 8_000
 
 
 @dataclass(frozen=True)
@@ -397,3 +400,217 @@ def graph_to_text(graph: FractalGraph) -> tuple:
     ]
     elines = [f"{a} {b}" for a, b in graph.ends.tolist()]
     return "\n".join(vlines) + "\n", "\n".join(elines) + "\n"
+
+
+def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corners", mode: str = "double") -> dict:
+    """Each carpet level's unit network traced onto a few of its points,
+    without building the graph.
+
+    keep="corners" keeps the four outer corners, in `corner_indices`
+    order; keep="cells" keeps the corners of the level-1 cells (V_1,
+    levels >= 1), sorted.  Returns {m: ElectricalNetwork} for each m in
+    levels; the vertices are the kept points as grid pairs over k^m.
+
+    Traces compose (the compatible networks of Kigami, *Analysis on
+    Fractals*, ch. 2).  Let T_j be the level-j network, with conductance
+    1/2 on the unit segments along its outer square, traced onto the
+    4 k^j points of that square; T_0 is the unit square with four half
+    edges.  A copy of T_j on each template cell gives the level-(j+1)
+    network once conductances are summed: a side two copies share gets
+    1/2 + 1/2, and every other side gets another 1/2, those on the outer
+    square only at the last glue.  The level-1 graph also joins two cell
+    corners along a unit segment between two removed cells (a plus-shaped
+    hole has such segments); the glues of T_0 add those edges.
+    T_0..T_{M-1} are built once per call, in increasing order, and level
+    m is read off one last glue of copies of T_{m-1}.
+
+    Each glue eliminates every point it does not keep: the points in one
+    copy only inside that copy first, then the front the copies share.
+    Double mode does so on dense Laplacians (`network._dense_trace`),
+    rational mode exactly (`trace_network`), so rational values are ==
+    those of the whole graph.  A glue whose dense front would exceed
+    MAX_DENSE_FRONT points raises ValueError before anything is built.
+    """
+    bad = validate_carpet_template(template)
+    if bad:
+        raise ValueError("invalid carpet template: " + "; ".join(bad))
+    if keep not in ("corners", "cells"):
+        raise ValueError(f"unknown kept set {keep!r}")
+    if mode not in ("rational", "double"):
+        raise ValueError(f"unknown mode {mode!r}")
+    ms = sorted(set(levels))
+    lowest = 1 if keep == "cells" else 0
+    if not ms or ms[0] < lowest:
+        raise ValueError(f"need levels >= {lowest}")
+    k, cells = template.k, sorted(template.cells)
+    builds = [_CarpetGlue(k, cells, k**j, "boundary", last=False) for j in range(ms[-1] - 1)]
+    # level 0 is one copy of T_0 on a one-cell template
+    lasts = {
+        m: _CarpetGlue(k, cells, k ** (m - 1), keep, last=True) if m else _CarpetGlue(1, [(1, 1)], 1, keep, last=True)
+        for m in ms
+    }
+    size = max(glue.size for glue in [*builds, *lasts.values()])
+    if size > MAX_DENSE_FRONT:
+        raise ValueError(
+            f"carpet level {ms[-1]} needs a dense front of {size} points"
+            f" ({8 * size**2 / 1e9:.1f} GB), above the {MAX_DENSE_FRONT} cap"
+        )
+    half = 0.5 if mode == "double" else Fraction(1, 2)
+    lap = np.zeros((4, 4), dtype=float if mode == "double" else object)
+    ring = np.arange(4)
+    _add_edges(lap, ring, (ring + 1) % 4, half)  # T_0
+    out = {}
+    for m in range(ms[-1] + 1):
+        if m in lasts:
+            out[m] = lasts[m].network(lasts[m].run(lap, mode), mode)
+        if 1 <= m < ms[-1]:
+            lap = builds[m - 1].run(lap, mode)  # T_m from T_{m-1}
+    return out
+
+
+_SIDE_STEPS = ((0, -1), (1, 0), (0, 1), (-1, 0))  # bottom, right, top, left
+
+
+def _square_boundary(s: int) -> np.ndarray:
+    """The 4s grid points on the boundary of [0, s]^2, counter-clockwise
+    from (0, 0): points i and i + 1 (mod 4s) end a unit segment, and
+    side d of `_SIDE_STEPS` holds segments d*s .. d*s + s - 1."""
+    t = np.arange(s)
+    flat, top = np.zeros(s, dtype=np.int64), np.full(s, s)
+    return np.column_stack([np.concatenate([t, top, s - t, flat]), np.concatenate([flat, t, top, s - t])])
+
+
+def _open_sides(k: int, cells: list, last: bool) -> list:
+    """Per cell, the sides that no other cell shares and that get a
+    second 1/2: those facing a removed cell, and at the last glue those
+    on the outer square."""
+    kept = set(cells)
+    return [
+        [
+            d
+            for d, (di, dj) in enumerate(_SIDE_STEPS)
+            if (i + di, j + dj) not in kept and (last or (1 <= i + di <= k and 1 <= j + dj <= k))
+        ]
+        for i, j in cells
+    ]
+
+
+def _add_edges(lap: np.ndarray, a, b, c):
+    """Add conductance c between each pair a[i], b[i] of the Laplacian lap, in place."""
+    np.add.at(lap, (a, b), -c)
+    np.add.at(lap, (b, a), -c)
+    np.add.at(lap, (a, a), c)
+    np.add.at(lap, (b, b), c)
+
+
+class _CarpetGlue:
+    """One glue: a copy of a boundary trace on each template cell, traced
+    onto the kept points.
+
+    A copy has side s on the grid of the glued square, whose side is
+    k*s.  The glued points are the copies' boundary points, numbered in
+    key order (x, then y).  keep is "boundary" (the outer square, in
+    `_square_boundary` order), "corners" or "cells" (every copy corner).
+    Only the shapes are worked out here, so every glue of a call can be
+    checked against MAX_DENSE_FRONT before any is run.
+    """
+
+    def __init__(self, k: int, cells: list, s: int, keep: str, last: bool):
+        side = k * s
+        pts = _square_boundary(s)[None] + (np.array(cells) - 1)[:, None] * s
+        keys, ids = np.unique(pts[..., 0] * (side + 1) + pts[..., 1], return_inverse=True)
+        self.points = np.column_stack(np.divmod(keys, side + 1))
+        self.n = len(keys)
+        self.copies = ids.reshape(len(cells), 4 * s)
+        self.tops = []
+        for sides in _open_sides(k, cells, last):
+            seg = np.array([d * s + t for d in sides for t in range(s)], dtype=np.int64)
+            self.tops.append((seg, (seg + 1) % (4 * s)))
+        blocks = list(self.copies)
+        self.extra = None
+        if s == 1:
+            # the level-1 graph also joins two cell corners along a
+            # segment that no kept cell has as a side (between two
+            # removed cells); deeper such segments have no inner points
+            extra = self._extra_edges(side, keys)
+            if len(extra[0]):
+                self.extra = extra
+                blocks.append(extra[0])
+        if keep == "boundary":
+            want = _square_boundary(side)
+        elif keep == "corners":
+            want = np.array([(0, 0), (side, 0), (0, side), (side, side)])
+        else:
+            want = self.points[(self.points % s == 0).all(1)]
+        self.keep = np.searchsorted(keys, want[:, 0] * (side + 1) + want[:, 1])
+        kept = np.zeros(self.n, dtype=bool)
+        kept[self.keep] = True
+        shared = np.bincount(np.concatenate(blocks), minlength=self.n) > 1
+        self.front = np.flatnonzero(shared & ~kept)
+        self.size = len(self.front) + len(self.keep)
+
+    def _extra_edges(self, side: int, keys: np.ndarray):
+        """(points, ends a, ends b) of the unit segments between glued
+        points that are no copy's side, ends as positions in points."""
+        x, y = self.points.T
+        cand = []
+        for step, ok in ((side + 1, x < side), (1, y < side)):
+            p = np.flatnonzero(ok)
+            q = np.searchsorted(keys, keys[p] + step)
+            hit = keys[np.minimum(q, self.n - 1)] == keys[p] + step
+            cand.append(p[hit] * self.n + q[hit])
+        cand = np.concatenate(cand)
+        a, b = self.copies, np.roll(self.copies, -1, axis=1)
+        sides = (np.minimum(a, b) * self.n + np.maximum(a, b)).ravel()
+        lo, hi = np.divmod(cand[~np.isin(cand, sides)], self.n)
+        pts = np.union1d(lo, hi)
+        return pts, np.searchsorted(pts, lo), np.searchsorted(pts, hi)
+
+    def run(self, lap: np.ndarray, mode: str) -> np.ndarray:
+        """The Laplacian on the kept points, in keep order, of copies of
+        the boundary-trace Laplacian lap glued.
+
+        Each copy (with its second halves) is traced inside itself onto
+        its points that are kept or shared, and added into the glued
+        Laplacian on those points, which is then traced onto the kept
+        ones: dense in double mode, exactly in rational mode."""
+        double = mode == "double"
+        half = 0.5 if double else Fraction(1, 2)
+        trace = _dense_trace if double else _exact_trace
+        blocks = [(ids, lap, a, b, half) for ids, (a, b) in zip(self.copies, self.tops)]
+        if self.extra is not None:
+            ids, a, b = self.extra
+            blocks.append((ids, np.zeros((len(ids), len(ids)), dtype=lap.dtype), a, b, 2 * half))
+        order = np.concatenate([self.front, self.keep])
+        pos = np.full(self.n, -1)
+        pos[order] = np.arange(len(order))
+        glued = np.zeros((len(order), len(order)), dtype=lap.dtype)
+        for ids, base, a, b, c in blocks:
+            block = base.copy()
+            _add_edges(block, a, b, c)
+            private = pos[ids] < 0
+            if private.any():
+                first = np.argsort(~private, kind="stable")
+                block = trace(block[np.ix_(first, first)], int(private.sum()))
+                ids = ids[first[private.sum():]]
+            p = pos[ids]
+            glued[np.ix_(p, p)] += block
+        return trace(glued, len(self.front))
+
+    def network(self, lap: np.ndarray, mode: str) -> ElectricalNetwork:
+        """The kept points, as grid pairs, joined by the conductances of lap."""
+        i, j = np.nonzero(np.triu(lap != 0, 1))
+        vertices = map(tuple, self.points[self.keep].tolist())
+        return ElectricalNetwork._from_arrays(vertices, np.column_stack([i, j]), -lap[i, j], mode)
+
+
+def _exact_trace(lap: np.ndarray, nf: int) -> np.ndarray:
+    """The rational Laplacian lap (an object array) traced onto its
+    positions after the first nf, by `trace_network`."""
+    i, j = np.nonzero(np.triu(lap != 0, 1))
+    net = ElectricalNetwork._from_arrays(range(len(lap)), np.column_stack([i, j]), -lap[i, j], "rational")
+    traced = trace_network(net, range(nf, len(lap)))
+    out = np.zeros((len(lap) - nf, len(lap) - nf), dtype=object)
+    a, b = (np.asarray(traced.vertices)[traced._ends] - nf).T
+    _add_edges(out, a, b, np.array(traced._values, dtype=object))
+    return out

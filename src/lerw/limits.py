@@ -24,6 +24,7 @@ from .fractal import (
     FractalGraph,
     adjacency_arrays,
     carpet_graph,
+    carpet_traces,
     corner_indices,
     gasket_graph,
     to_xy,
@@ -315,10 +316,14 @@ def _family_graph(kind: str, m: int, template=None) -> FractalGraph:
     if kind == "gasket":
         return gasket_graph(m)
     if kind == "carpet":
-        if template is None:
-            raise ValueError("carpet experiments need a template")
-        return carpet_graph(template, m)
+        return carpet_graph(_carpet_template(template), m)
     raise ValueError(f"unknown graph family {kind!r}")
+
+
+def _carpet_template(template):
+    if template is None:
+        raise ValueError("carpet experiments need a template")
+    return template
 
 
 def _check_corner(kind: str, corners: tuple, c: int):
@@ -366,11 +371,15 @@ def resistance_scaling(
     not exceed it); the measured spread and a pass/fail flag are part of
     the result so callers can report the violation instead of crashing.
 
-    Each level is traced once onto the corners the probes use; a trace
-    keeps every effective resistance among the kept vertices, so each
-    pair is read off the small traced network. Rational values are
-    exact. Corner indices outside the graph's corners, pairs of one
-    corner with itself and an empty pair list raise ValueError.
+    Each level is traced once onto its corners; a trace keeps every
+    effective resistance among the kept vertices, so each pair is read
+    off the small traced network. Carpet levels come from
+    `fractal.carpet_traces`, which glues boundary traces of the level
+    below and never builds the graph (so levels past MAX_VERTICES are
+    in reach); gasket levels build the graph and trace it onto the
+    corners the probes use. Rational values are exact. Corner indices
+    outside the graph's corners, pairs of one corner with itself and an
+    empty pair list raise ValueError.
     """
     ms = sorted(m_values)
     if not ms:
@@ -382,22 +391,28 @@ def resistance_scaling(
             if ci == cj:
                 raise ValueError(f"probe pair {ci}-{cj} needs two distinct corners")
     base = 2 if kind == "gasket" else (template.k if template else None)
+    count = 3 if kind == "gasket" else 4
+    probe = pairs if pairs is not None else [(i, j) for i in range(count) for j in range(i + 1, count)]
+    used = sorted({c for pair in probe for c in pair})
+    for c in used:
+        _check_corner(kind, range(count), c)
+    if kind == "carpet":
+        carpets = carpet_traces(_carpet_template(template), ms, "corners", mode)
     rows = []
     per_pair: dict = {}
     for m in ms:
-        g = _family_graph(kind, m, template)
-        corners = corner_indices(g)
-        xy = to_xy(g)
-        probe = pairs if pairs is not None else [
-            (i, j) for i in range(len(corners)) for j in range(i + 1, len(corners))
-        ]
-        used = {c for pair in probe for c in pair}
-        for c in sorted(used):
-            _check_corner(kind, corners, c)
-        traced = trace_network(uniform_network(g, mode), [corners[c] for c in used])
+        if kind == "carpet":
+            traced = carpets[m]
+            corners = traced.vertices
+            xy = np.array(corners) / base**m
+        else:
+            g = _family_graph(kind, m, template)
+            corners = corner_indices(g)
+            xy = to_xy(g)[list(corners)]
+            traced = trace_network(uniform_network(g, mode), [corners[c] for c in used])
         for ci, cj in probe:
             r = effective_resistance(traced, corners[ci], corners[cj])
-            rho = float(np.hypot(*(xy[corners[ci]] - xy[corners[cj]])))
+            rho = float(np.hypot(*(xy[ci] - xy[cj])))
             rows.append({"level": m, "pair": (ci, cj), "resistance": r, "rho": rho})
             per_pair.setdefault((ci, cj), {})[m] = (r, rho)
 
@@ -442,29 +457,45 @@ def kernel_convergence(
 
     Rows are exclude-current hitting distributions; the killing corner is
     part of the traced vertex set, so its column is the absorbed mass.
-    Entries are keyed by exact coordinates, comparable across levels.
+    Entries are keyed by exact coordinates in level-m units, comparable
+    across levels; rows and their entries come in key order.
 
     Each level m' is traced once onto V_m: the walk watched on V_m is
     the walk of the traced network, so row v is c'(v, u) / c'_v for
-    every other u in V_m, zeros included. A killing corner index outside
-    the graph's corners raises ValueError.
+    every other u in V_m, zeros included. On the carpet with m = 1 the
+    traces come from `fractal.carpet_traces`, which keeps V_1 (the
+    corners of the level-1 cells) off glued boundary traces and never
+    builds a graph above level 1. The gasket, and carpets with m >= 2,
+    build each level's graph and trace it. A killing corner index
+    outside the graph's corners raises ValueError.
     """
     mps = sorted(m_primes)
     if not mps or mps[0] < m:
         raise ValueError("need levels m' >= m")
     base = _family_graph(kind, m, template)
-    _check_corner(kind, corner_indices(base), y_corner)
+    corners = corner_indices(base)
+    _check_corner(kind, corners, y_corner)
+    killed = tuple(base.points[corners[y_corner]].tolist())
+    glued = kind == "carpet" and m == 1
+    if glued:
+        carpets = carpet_traces(template, mps, "cells")
     kernels = []
     for mp in mps:
-        g = _family_graph(kind, mp, template)
-        vset = g.level_sets[m].tolist()
-        traced = trace_network(uniform_network(g, "double"), vset)
-        scale = g.grid // base.grid
-        key_of = dict(zip(vset, map(tuple, (g.points[vset] // scale).tolist())))
-        y = corner_indices(g)[y_corner]
+        if glued:
+            traced = carpets[mp]
+            vset = traced.vertices
+            scale = template.k ** (mp - 1)
+            key_of = {v: (v[0] // scale, v[1] // scale) for v in vset}
+        else:
+            g = _family_graph(kind, mp, template)
+            vset = g.level_sets[m].tolist()
+            traced = trace_network(uniform_network(g, "double"), vset)
+            scale = g.grid // base.grid
+            key_of = dict(zip(vset, map(tuple, (g.points[vset] // scale).tolist())))
+        vset = sorted(vset, key=key_of.__getitem__)
         rows = {}
         for v in vset:
-            if v == y:
+            if key_of[v] == killed:
                 continue
             cv = traced.weight(v)
             rows[key_of[v]] = {key_of[u]: traced.conductance(v, u) / cv for u in vset if u != v}

@@ -289,6 +289,50 @@ def _solve_block(net: ElectricalNetwork, idx: list, rhs: np.ndarray) -> np.ndarr
     return u
 
 
+def _schur_laplacian(schur: np.ndarray) -> np.ndarray:
+    """The Laplacian of the conductances that a dense double Schur
+    complement S of a Laplacian holds.
+
+    Pair (a, b) gets conductance -(S_ab + S_ba) / 2, or none when that is
+    at most 1e-13 * scale, scale being the largest |S_ab| and at least 1
+    (roundoff leaves such tiny, even negative, entries).  The diagonal
+    is rebuilt as the sum of each row's conductances, so every row sums
+    to 0 exactly: a dense complement loses that to roundoff, and the
+    loss grows with each elimination that follows (this is the fix GTH
+    state reduction makes).
+    """
+    scale = max(abs(schur).max(), 1.0)
+    c = schur + schur.T
+    c *= -0.5
+    np.fill_diagonal(c, 0.0)
+    c[c <= 1e-13 * scale] = 0.0
+    c *= -1.0
+    np.fill_diagonal(c, -c.sum(1))
+    return c
+
+
+def _dense_trace(lap: np.ndarray, nf: int) -> np.ndarray:
+    """`_schur_laplacian` of the dense Laplacian lap traced onto its
+    positions after the first nf, which are eliminated.
+
+    The grounded block L[:nf, :nf] is positive definite on a connected
+    network; one Cholesky solve (LAPACK) takes every kept column, and its
+    solution must pass `check_residual`.  SingularSystemError when the
+    block is not numerically positive definite.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    if not nf:
+        return _schur_laplacian(lap)
+    a, b = lap[:nf, :nf], lap[:nf, nf:]
+    try:
+        x = cho_solve(cho_factor(a, check_finite=False), b, check_finite=False)
+    except LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from None
+    check_residual(a, x, b)
+    return _schur_laplacian(lap[nf:, nf:] - b.T @ x)
+
+
 _EVERY = object()
 
 
@@ -440,7 +484,8 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     Dirichlet solve does, and reads c'_ab = c_a w_ab / T_a off the kept
     rows; double mode takes the Schur complement
     L_KK - L_KO L_OO^-1 L_OK of the Laplacian in one block step, with one
-    sparse solve.
+    sparse solve, and keeps the conductances `_schur_laplacian` reads off
+    it (so a pair below its drop threshold gets no edge).
     """
     kset = frozenset(keep)
     if not kset <= set(net.vertices):
@@ -467,15 +512,12 @@ def trace_network(net: ElectricalNetwork, keep: Iterable) -> ElectricalNetwork:
     else:
         lap = laplacian(net)
         ki, oi = _positions(net, kept), _positions(net, drop)
-        schur = lap[ki][:, ki].toarray() - lap[ki][:, oi] @ _solve_block(
+        reduced = _schur_laplacian(lap[ki][:, ki].toarray() - lap[ki][:, oi] @ _solve_block(
             net, oi, lap[oi][:, ki].toarray()
-        )
-        scale = max(abs(schur).max(), 1.0)
-        c = schur + schur.T
-        c *= -0.5
+        ))
         # kept pairs i < j in row order, as the conductances read
-        i, j = np.nonzero(np.triu(c > 1e-13 * scale, 1))
-        return ElectricalNetwork._from_arrays(kept, np.column_stack([i, j]), c[i, j], "double")
+        i, j = np.nonzero(np.triu(reduced < 0, 1))
+        return ElectricalNetwork._from_arrays(kept, np.column_stack([i, j]), -reduced[i, j], "double")
     # the constructor re-checks connectivity, which a trace of a
     # connected network can never lose
     return ElectricalNetwork(tuple(kept), cond, net.mode)

@@ -114,6 +114,14 @@ class TestResist:
             i, j = map(int, pair.split("-"))
             assert float(cell) == res["ratios"][i, j][0]
 
+    def test_carpet_level_six_from_glued_traces(self, tmp_path):
+        # level 6 has 330,720 vertices and is read off glued boundary
+        # traces; the values were computed independently
+        assert main(["resist", "--carpet", "standard", "-m", "5..6", "--out", str(tmp_path)]) == 0
+        rows = csv.reader((tmp_path / "resist.csv").read_text().splitlines()[2:])
+        got = {(int(level), pair): float(cell) for level, pair, cell, _ in rows}
+        for pair, want in (("0-1", 12.638850840581), ("0-3", 13.434463701405)):
+            assert abs(got[6, pair] - want) <= 1e-11 * want
 
     @pytest.mark.parametrize(
         "pair, message",

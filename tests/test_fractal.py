@@ -6,11 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+import lerw.fractal
 from lerw.fractal import (
     CarpetTemplate,
     FractalGraph,
     adjacency_arrays,
     carpet_graph,
+    carpet_traces,
     corner_indices,
     gasket_graph,
     graph_to_text,
@@ -21,7 +23,7 @@ from lerw.fractal import (
     uniform_network,
     validate_carpet_template,
 )
-from lerw.network import ElectricalNetwork, effective_resistance, laplacian
+from lerw.network import ElectricalNetwork, effective_resistance, laplacian, trace_network
 
 from _gen import path_stub
 
@@ -161,6 +163,13 @@ def ring_template(k: int) -> CarpetTemplate:
         (i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i in (1, k) or j in (1, k)
     )
     return CarpetTemplate(k, cells)
+
+
+def plus_template() -> CarpetTemplate:
+    """k=5 with a plus-shaped hole: at level 1 the graph joins two cell
+    corners along segments between two removed cells."""
+    hole = {(3, 2), (2, 3), (3, 3), (4, 3), (3, 4)}
+    return CarpetTemplate(5, frozenset(product(range(1, 6), repeat=2)) - hole)
 
 
 class TestGasket:
@@ -449,3 +458,114 @@ class TestGraphPlumbing:
         first = vtext.splitlines()[0].split()
         assert first == ["0", "0", "1", "0", "1"]
         assert len(etext.splitlines()) == len(g.edges)
+
+
+class TestCarpetTraces:
+    """Carpet levels traced onto their corners or V_1 from glued boundary
+    traces, against the trace of the whole graph."""
+
+    @staticmethod
+    def whole_graph(template, m, mode, level_set=None):
+        g = carpet_graph(template, m)
+        keep = corner_indices(g) if level_set is None else g.level_sets[level_set].tolist()
+        traced = trace_network(uniform_network(g, mode), keep)
+        return traced, {v: tuple(g.points[v].tolist()) for v in keep}
+
+    @pytest.mark.parametrize(
+        "template, top",
+        [(standard_carpet(), 3), (ring_template(4), 2), (plus_template(), 2)],
+        ids=["standard", "ring4", "plus"],
+    )
+    def test_rational_corner_resistances_equal_whole_graph(self, template, top):
+        glued = carpet_traces(template, range(top + 1), "corners", "rational")
+        for m in range(top + 1):
+            ref, point = self.whole_graph(template, m, "rational")
+            corners = list(point)
+            assert glued[m].vertices == tuple(point[c] for c in corners)
+            for i, j in [(i, j) for i in range(4) for j in range(i + 1, 4)]:
+                r = effective_resistance(glued[m], point[corners[i]], point[corners[j]])
+                assert type(r) is Fraction
+                assert r == effective_resistance(ref, corners[i], corners[j])
+
+    @pytest.mark.parametrize(
+        "template, top",
+        [(standard_carpet(), 5), (ring_template(4), 3), (plus_template(), 3)],
+        ids=["standard", "ring4", "plus"],
+    )
+    def test_double_corner_resistances_match_whole_graph(self, template, top):
+        glued = carpet_traces(template, range(top + 1))
+        for m in range(top + 1):
+            ref, point = self.whole_graph(template, m, "double")
+            corners = list(point)
+            for i, j in [(i, j) for i in range(4) for j in range(i + 1, 4)]:
+                want = effective_resistance(ref, corners[i], corners[j])
+                got = effective_resistance(glued[m], point[corners[i]], point[corners[j]])
+                assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "template, top", [(standard_carpet(), 4), (ring_template(4), 3)], ids=["standard", "ring4"]
+    )
+    def test_cell_corner_traces_match_whole_graph(self, template, top):
+        glued = carpet_traces(template, range(1, top + 1), "cells")
+        exact = carpet_traces(template, (1, 2), "cells", "rational")
+        for m in range(1, top + 1):
+            ref, point = self.whole_graph(template, m, "double", level_set=1)
+            assert glued[m].vertices == tuple(sorted(point.values()))
+            for a in ref.vertices:
+                for b in ref.vertices:
+                    want = ref.conductance(a, b)
+                    got = glued[m].conductance(point[a], point[b])
+                    assert abs(got - want) <= 1e-12 * ref.weight(a)
+            if m in exact:
+                ref, point = self.whole_graph(template, m, "rational", level_set=1)
+                assert exact[m].conductances == {
+                    frozenset(map(point.get, key)): c for key, c in ref.conductances.items()
+                }
+
+    def test_hole_sides_need_their_second_half(self, monkeypatch):
+        # negative control: with only the outer square topped up, the
+        # four sides around the hole carry 1/2 instead of 1
+        assert effective_resistance(
+            carpet_traces(standard_carpet(), [1], "corners", "rational")[1], (0, 0), (3, 0)
+        ) == Fraction(181, 112)
+
+        def outer_only(k, cells, last):
+            sides = lerw.fractal._SIDE_STEPS
+            return [
+                [d for d, (di, dj) in enumerate(sides) if last and not (1 <= i + di <= k and 1 <= j + dj <= k)]
+                for i, j in cells
+            ]
+
+        monkeypatch.setattr(lerw.fractal, "_open_sides", outer_only)
+        net = carpet_traces(standard_carpet(), [1], "corners", "rational")[1]
+        assert effective_resistance(net, (0, 0), (3, 0)) == Fraction(17, 10)
+
+    def test_dense_front_cap(self, monkeypatch):
+        ran = []
+        run = lerw.fractal._CarpetGlue.run
+
+        def spy(glue, lap, mode):
+            ran.append(glue.size)
+            return run(glue, lap, mode)
+
+        monkeypatch.setattr(lerw.fractal._CarpetGlue, "run", spy)
+        with pytest.raises(ValueError, match=r"^carpet level 8 needs a dense front of 17\d{3} points \(2\.\d GB\), above the 8000 cap$"):
+            carpet_traces(standard_carpet(), [1, 8])
+        # level 2 glues at most 32 points, level 3 at most 80 (its last glue)
+        monkeypatch.setattr(lerw.fractal, "MAX_DENSE_FRONT", 60)
+        carpet_traces(standard_carpet(), [2], "cells")
+        with pytest.raises(ValueError, match=r"^carpet level 3 needs a dense front of 80 points \(0\.0 GB\), above the 60 cap$"):
+            carpet_traces(standard_carpet(), [3])
+        assert len(ran) == 2  # only the level-2 run: T_1, then its last glue
+
+    @pytest.mark.parametrize(
+        "levels, keep, match",
+        [([], "corners", "need levels >= 0"), ([0, 1], "cells", "need levels >= 1"), ([1], "edges", "unknown kept set")],
+    )
+    def test_bad_requests_are_named(self, levels, keep, match):
+        with pytest.raises(ValueError, match=match):
+            carpet_traces(standard_carpet(), levels, keep)
+        with pytest.raises(ValueError, match="invalid carpet template"):
+            carpet_traces(CarpetTemplate(3, frozenset({(1, 1)})), [1])
+        with pytest.raises(ValueError, match="unknown mode 'float'"):
+            carpet_traces(standard_carpet(), [1], mode="float")

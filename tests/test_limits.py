@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import lerw.chain
+import lerw.fractal
+import lerw.limits
 from lerw.chain import (
     LOCKSTEP_BLOCK,
     LOCKSTEP_POOL,
@@ -547,20 +549,34 @@ class TestResistanceScaling:
                 want = effective_resistance(net, c[r["pair"][0]], c[r["pair"][1]])
                 assert abs(r["resistance"] - want) <= 1e-12 * want
 
-    def test_one_factorization_per_level(self, monkeypatch):
-        # every other solve runs on the traced network of four corners
-        sizes = []
-        solve = lerw.network._solve_block
+    def test_carpet_levels_build_and_factor_no_graph(self, monkeypatch):
+        # carpet resistances and V_1 kernels come from glued boundary
+        # traces: no graph above level 1 is built, and the only sparse
+        # solves are on the traced networks of four corners
+        levels, sizes = [], []
+        build, solve = lerw.fractal.carpet_graph, lerw.network._solve_block
 
-        def counted(net, idx, rhs):
+        def built(template, m, *args):
+            levels.append(m)
+            return build(template, m, *args)
+
+        def solved(net, idx, rhs):
             sizes.append(net.n)
             return solve(net, idx, rhs)
 
-        monkeypatch.setattr(lerw.network, "_solve_block", counted)
-        resistance_scaling("carpet", (2, 3), template=standard_carpet())
-        assert sorted(n for n in sizes if n > 4) == [
-            carpet_graph(standard_carpet(), m).n for m in (2, 3)
-        ]
+        for module in (lerw.limits, lerw.fractal):
+            monkeypatch.setattr(module, "carpet_graph", built)
+        monkeypatch.setattr(lerw.network, "_solve_block", solved)
+        template = standard_carpet()
+        for mode in ("double", "rational"):
+            resistance_scaling("carpet", (1, 2, 3), template=template, mode=mode)
+        kernel_convergence("carpet", 1, 0, [1, 2, 3], template=template)
+        assert max(levels) == 1 and set(sizes) == {4}
+        # the spies do see the inputs that still trace whole graphs
+        kernel_convergence("carpet", 2, 0, [3], template=template)
+        resistance_scaling("gasket", (3,))
+        assert levels[-2:] == [2, 3]
+        assert sizes[-5:] == [carpet_graph(template, 3).n, gasket_graph(3).n, 3, 3, 3]
 
     @pytest.mark.parametrize(
         "kind, pairs, match",
@@ -647,9 +663,9 @@ class TestKernelConvergence:
             for entry in out["kernels"]:
                 want, corners = oracle[entry["m_prime"]]
                 rows = entry["rows"]
-                assert list(rows) == [k for k in want if k != corners[y]]
+                assert list(rows) == sorted(k for k in want if k != corners[y])
                 for rk, row in rows.items():
-                    assert list(row) == list(want[rk])
+                    assert list(row) == sorted(want[rk])
                     if entry["m_prime"] == 1:
                         assert row == want[rk]
                     else:
