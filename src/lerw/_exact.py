@@ -24,6 +24,9 @@ class SingularSystemError(ArithmeticError):
 
 
 RESIDUAL_TOL = 1e-10
+# rows of a dense matrix whose absolute values `check_residual` sums at a
+# time, so that it never holds a second matrix of a's size
+RESIDUAL_ROWS = 256
 
 
 def eliminate(
@@ -129,17 +132,26 @@ def solve_fraction(a, b):
     return [[b[r][c] / a[r][r] for c in range(m)] for r in range(n)]
 
 
+def _max_row_sum(a):
+    """max_i sum_j |a_ij|; a dense a is summed RESIDUAL_ROWS rows at a time."""
+    if not isinstance(a, np.ndarray):  # sparse: |a| is as sparse as a
+        return abs(a).sum(axis=1).max()
+    rows = range(0, len(a), RESIDUAL_ROWS)
+    return np.max([np.abs(a[i : i + RESIDUAL_ROWS]).sum(axis=1).max() for i in rows])
+
+
 def check_residual(a, x, b) -> None:
     """Refuse a float solution x of a x = b whose backward error is too big.
 
     The normwise backward error |a x - b| / (|a| |x| + |b|), in the max
     norm, must not exceed RESIDUAL_TOL; otherwise SingularSystemError.
     Unlike a residual scaled by the entries of a and b alone, it accepts
-    backward-stable solutions of any size.  a may be dense or sparse.
+    backward-stable solutions of any size.  a may be dense or sparse; the
+    row sums of a dense |a| are taken RESIDUAL_ROWS rows at a time.
     """
     if not np.size(x):
         return
-    scale = abs(a).sum(axis=1).max() * abs(x).max() + abs(b).max()
+    scale = _max_row_sum(a) * abs(x).max() + abs(b).max()
     resid = float(abs(a @ x - b).max() / scale) if scale else 0.0
     if not np.isfinite(resid) or resid > RESIDUAL_TOL:
         raise SingularSystemError(f"residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")

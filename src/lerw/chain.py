@@ -13,9 +13,11 @@ nbrs[v][bisect_right(cums[v], u)]: `_walk` draws one trajectory (every
 chain walk) in uniform blocks that grow from WALK_BLOCK_FIRST to
 WALK_BLOCK_MAX, so a short walk draws few uniforms it does not use, and
 `_walk_many` steps a pool of fractal graph walks from `limits` in
-lockstep, handing its last few walkers to `_walk`.  A stream's uniforms
-come out in order whatever the block sizes, so a trajectory is the same
-bit for bit in either loop.
+lockstep, two steps per gather through a table of cell pairs in which
+targets absorb, drops finished walkers from the pool once no trajectory
+is left to start, and hands its last few walkers to `_walk`.  A stream's
+uniforms come out in order whatever the block sizes, so a trajectory is
+the same bit for bit in either loop.
 """
 
 from __future__ import annotations
@@ -32,12 +34,16 @@ import numpy as np
 STEP_CAP = 10_000_000
 SUM_TOL = 1e-12
 # _walk_many: walkers stepped together, uniforms drawn per walker per
-# round, and the pool size below which the last walkers finish in _walk.
-# The pool holds every live walker's partial path: on carpet m3, 96 or
-# 128 walkers were no faster than 64 and raised peak RSS by 0.7-1.5 MB more.
-LOCKSTEP_POOL = 64
+# round (even: two steps per gather), the pool size below which the last
+# walkers finish in _walk, and the rounds of steps a walker's piece
+# collects before it is copied out.  The pool holds every live walker's
+# partial path: on carpet m3 (1800 walks), 128 walkers raised peak RSS by
+# 1.3 MB over 64 and cut the sampling time by about 6%; 192 and 256
+# raised it by 2.6 and 3.9 MB for about 2% more.
+LOCKSTEP_POOL = 128
 LOCKSTEP_BLOCK = 256
 LOCKSTEP_TAIL = 8
+LOCKSTEP_FLUSH = 4
 # _walk: uniforms drawn in the first block, doubling per block up to the
 # last size.  Corner walks on gasket m3 and carpet m2 average 123 and 167
 # steps, and a 1024-block cost more than the steps it served.
@@ -353,78 +359,143 @@ def _step_table(nbrs, cums) -> tuple:
     return np.array(merged), table
 
 
+def _vertex_dtype(n: int):
+    return np.uint16 if n <= 1 << 16 else np.int32
+
+
+def _pair_table(nbrs, cums, flags) -> tuple:
+    """(cuts, width, shift, pair, mid): two steps of every row per gather.
+
+    A uniform u in [0, 1) lies in cell k = (cuts <= u).sum() of
+    `_step_table`'s width cells; cuts are its cell edges below 1.0.
+    Flagged rows are made absorbing (every cell stays put), so a walk
+    that has entered one is still on it after any further steps.  Each
+    row here has 2**shift >= width**2 entries: entry
+    (v << shift) + k1 * width + k2 holds the two steps from v through
+    cells k1 and k2.  pair gives the second vertex shifted left by shift,
+    so the next lookup is one addition, and mid gives the first.
+    """
+    merged, table = _step_table(nbrs, cums)
+    n, width = len(nbrs), len(merged)
+    one = table.reshape(n, width) // width
+    one[flags] = np.flatnonzero(flags)[:, None]
+    shift = (width * width - 1).bit_length()
+    mid = np.zeros((n, 1 << shift), dtype=_vertex_dtype(n))
+    pair = np.zeros((n, 1 << shift), dtype=np.intp)
+    firsts = np.repeat(one, width, axis=1)
+    mid[:, : width * width] = firsts
+    pair[:, : width * width] = one[firsts, np.tile(np.arange(width), width)] << shift
+    cuts = np.array([c for c in merged if c < 1.0])
+    return cuts, width, shift, pair.reshape(-1), mid.reshape(-1)
+
+
 def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, step_cap: int):
     """Yield (i, path) for trajectories 0..count-1 from `start`, as they finish.
 
     path is trajectory i's index array, both endpoints kept, equal to
     `_walk` on trajectory_stream(master_seed, i).  Up to LOCKSTEP_POOL
     walkers step together: each draws LOCKSTEP_BLOCK uniforms from its
-    own stream per round, and a step of all of them is one addition and
-    one gather through `_step_table`.  Entries are found once per round;
-    a finished walker's slot goes to the next index.  Once no index is
-    left and fewer than LOCKSTEP_TAIL walkers remain, each finishes in
-    `_walk` from its current vertex with the rest of its stream and of
-    its step cap.  Paths are kept as ragged per-walker pieces.
-    StepCapExceeded is raised as soon as any walker runs out of steps.
+    own stream per round, and two steps of all of them are one addition
+    and one gather through `_pair_table`.  Targets absorb, so a walker
+    has entered this round iff its last vertex is a target, and only
+    those walkers are searched for their first entry.  A finished
+    walker's slot goes to the next index; once no index is left, its row
+    is dropped from the pool, and when fewer than LOCKSTEP_TAIL walkers
+    remain, each finishes in `_walk` from its current vertex with the
+    rest of its stream and of its step cap.  Vertices are written to a
+    buffer of LOCKSTEP_FLUSH rounds, and a walker's path is kept as
+    ragged pieces copied out of it.  StepCapExceeded is raised as soon as
+    any walker runs out of steps.  start must not be a target (as the
+    targets absorb, its walks would never leave it).
     """
     if count <= 0:
         return
-    merged, table = _step_table(nbrs, cums)
-    width = len(merged)
+    head = np.array([start], dtype=_vertex_dtype(len(nbrs)))
     flags = np.asarray(is_target, dtype=bool)
-    dtype = np.uint16 if len(nbrs) <= 1 << 16 else np.int32
+    cuts, width, shift, pair, mid = _pair_table(nbrs, cums, flags)
     block = LOCKSTEP_BLOCK
-    pool = min(LOCKSTEP_POOL, count)
-    head = np.array([start], dtype=dtype)
-    us = np.zeros((pool, block))  # idle rows keep old uniforms, always in [0, 1)
-    cells = np.empty((pool, block), dtype=np.min_scalar_type(width))
-    ks = np.empty((block, pool), dtype=np.intp)
-    at = np.full((block + 1, pool), start * width, dtype=np.intp)  # width * vertex
-    idx = np.empty(pool, dtype=np.intp)
-    verts = np.empty((block, pool), dtype=dtype)
-    krows, arows, add, step = list(ks), list(at), np.add, table.take  # hoisted for the step loop
-    ids = list(range(pool))
+    half = block // 2
+    size = min(LOCKSTEP_POOL, count)
+    # buffers for the full pool; a smaller pool uses their leading rows
+    # or columns
+    us_all = np.empty((size, block))
+    cells_all = np.empty((size, block), dtype=np.min_scalar_type(width))
+    above_all = np.empty((size, block), dtype=bool)
+    ks_all = np.empty((half, size), dtype=np.intp)  # cell pairs, then pair indices
+    at_all = np.empty((half + 1, size), dtype=np.intp)  # vertex << shift every 2 steps
+    window = LOCKSTEP_FLUSH * block
+    trail = np.empty((window, size), dtype=head.dtype)  # vertices after each step
+    row = 0  # this round's first row in trail
+    since = [0] * size  # each walker's first row in trail not yet in its pieces
+    at_all[0] = start << shift
+    add, step = np.add, pair.take
+    ids = list(range(size))
     rngs = [trajectory_stream(master_seed, i) for i in ids]
     pieces = [[head] for _ in ids]
-    left = np.full(pool, step_cap, dtype=np.int64)
-    live = np.ones(pool, dtype=bool)
-    nxt = pool
-    while nxt < count or live.sum() >= LOCKSTEP_TAIL:
-        for r in np.flatnonzero(live):
-            rngs[r].random(out=us[r])
-        # k = searchsorted(merged, u, side="right"), counted directly:
-        # merged is short (at most 6 values on gasket and carpet graphs)
-        np.greater_equal(us, merged[0], out=cells)
-        for c in merged[1:]:
-            cells += us >= c
-        ks[...] = cells.T
+    left = np.full(size, step_cap, dtype=np.int64)
+    nxt = size
+    pool = 0
+    while nxt < count or len(ids) >= max(LOCKSTEP_TAIL, 1):
+        if len(ids) != pool:  # (re)hoist the views for the step loop
+            pool = len(ids)
+            us, cells, above = us_all[:pool], cells_all[:pool], above_all[:pool]
+            ks, at = ks_all[:, :pool], at_all[:, :pool]
+            urows, krows, arows = list(us), list(ks), list(at)
+            evens, odds = cells[:, 0::2].T, cells[:, 1::2].T
+        for rng, u in zip(rngs, urows):
+            rng.random(out=u)
+        # the cell of u is the count of cuts <= u: there are few of them
+        # (at most 5 on gasket and carpet graphs)
+        cells.fill(0)
+        for c in cuts:
+            np.greater_equal(us, c, out=above)
+            cells += above
+        np.multiply(evens, width, out=ks, dtype=np.intp)
+        ks += odds
         for k, here, there in zip(krows, arows, arows[1:]):
-            add(here, k, out=idx)
-            step(idx, out=there, mode="clip")  # never clips; "raise" would buffer the output
-        np.floor_divide(at[1:], width, out=verts, casting="unsafe")
-        hits = flags[verts]
-        first = np.where(hits.any(0), hits.argmax(0), block)
-        done = live & (first < np.minimum(left, block))
-        if (live & ~done & (left <= block)).any():
+            add(here, k, out=k)
+            step(k, out=there, mode="clip")  # never clips; "raise" would buffer the output
+        verts = trail[row : row + block, :pool]
+        np.right_shift(at[1:], shift, out=verts[1::2], casting="unsafe")
+        mid.take(ks, out=verts[0::2], mode="clip")
+        entered = flags[verts[-1]]
+        sel = np.flatnonzero(entered)
+        first = np.full(pool, block)
+        first[sel] = flags[verts[:, sel]].argmax(0)
+        if (first >= left).any():
             raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
         left -= block
-        at[0] = at[block]
-        for r in np.flatnonzero(live):
-            if done[r]:
-                finished = ids[r], np.concatenate([*pieces[r], verts[: first[r] + 1, r]])
-                if nxt < count:
-                    ids[r], rngs[r], pieces[r] = nxt, trajectory_stream(master_seed, nxt), [head]
-                    left[r] = step_cap
-                    at[0, r] = start * width
-                    nxt += 1
-                else:
-                    live[r], pieces[r] = False, None
-                yield finished
+        at[0] = at[half]
+        dropped = []
+        for r in sel.tolist():
+            finished = ids[r], np.concatenate([*pieces[r], trail[since[r] : row + first[r] + 1, r]])
+            since[r] = row + block
+            if nxt < count:
+                ids[r], rngs[r], pieces[r] = nxt, trajectory_stream(master_seed, nxt), [head]
+                left[r] = step_cap
+                at[0, r] = start << shift
+                nxt += 1
             else:
-                pieces[r].append(verts[:, r].copy())
-    for r in np.flatnonzero(live):
-        rest = _walk(nbrs, cums, int(at[0, r]) // width, is_target, rngs[r], int(left[r]))
-        pieces[r].append(np.array(rest[1:], dtype=dtype))
+                dropped.append(r)
+            yield finished
+        row += block
+        if row == window or dropped:
+            for r, (piece, s) in enumerate(zip(pieces, since)):
+                if s < row:
+                    piece.append(trail[s:row, r].copy())
+            since, row = [0] * pool, 0
+        if dropped:
+            gone = set(dropped)
+            keep = [r for r in range(pool) if r not in gone]
+            ids, rngs, pieces = ([x[r] for r in keep] for x in (ids, rngs, pieces))
+            at_all[0, : len(keep)] = at[0, keep]
+            left = left[keep]
+    for r in range(len(ids)):
+        try:
+            rest = _walk(nbrs, cums, int(at_all[0, r]) >> shift, is_target, rngs[r], int(left[r]))
+        except StepCapExceeded:  # name the walk's cap, not what was left of it
+            raise StepCapExceeded(f"no entry into targets within {step_cap} steps") from None
+        pieces[r].append(np.array(rest[1:], dtype=head.dtype))
         yield ids[r], np.concatenate(pieces[r])
 
 

@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._exact import SingularSystemError, check_residual
 from .chain import STEP_CAP, _cum_row, _walk_many
 from .erasure import loop_erase, partial_loop_erase_array, refinement_erase
 from .fractal import (
@@ -58,15 +59,26 @@ def hausdorff(a, b, metric=None):
 def resistance_metric(net: ElectricalNetwork):
     """Pairwise effective resistance as a pluggable ground metric.
 
-    Dense pseudo-inverse of the network's Laplacian; intended for small
-    graphs.
+    The Laplacian grounded at the first vertex is inverted by one dense
+    solve, checked by `check_residual`: with G that inverse, zero in the
+    ground's row and column, R(p, q) = G_pp + G_qq - 2 G_pq.  Intended
+    for small networks; SingularSystemError when the solve fails.  A
+    pseudo-inverse is not safe here: when rounding leaves the row sums
+    off by 1e-15, the null singular value can clear its cutoff.
     """
     idx = {v: i for i, v in enumerate(net.vertices)}
-    plus = np.linalg.pinv(laplacian(net).toarray())
+    lap = laplacian(net).toarray()
+    a, eye = lap[1:, 1:], np.eye(len(lap) - 1)
+    green = np.zeros_like(lap)
+    try:
+        green[1:, 1:] = np.linalg.solve(a, eye)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from None
+    check_residual(a, green[1:, 1:], eye)
 
     def metric(p, q):
         i, j = idx[p], idx[q]
-        return float(plus[i, i] + plus[j, j] - 2 * plus[i, j])
+        return float(green[i, i] + green[j, j] - 2 * green[i, j])
 
     return metric
 
@@ -278,23 +290,30 @@ def coupled_refinement_distance(
     dists = np.empty(num_samples)
     steps = np.empty(num_samples, dtype=np.int64)
     stage_points = final_points = 0
+    off_final = np.zeros(g.n, dtype=bool)  # all False between samples
     for i, w in walks:
-        stage = w[partial_loop_erase_array(w, erasable)].tolist()
-        final = loop_erase(stage).path
+        stage = w[partial_loop_erase_array(w, erasable)]
+        final = np.array(loop_erase(stage.tolist()).path)
         steps[i] = len(w) - 1
         stage_points += len(stage)
         final_points += len(final)
         # final is a subsequence of stage: only stage points off final
         # can be far from the other set
-        off = set(stage).difference(final)
-        if not off:
+        off_final[stage] = True
+        off_final[final] = False
+        off = np.flatnonzero(off_final)
+        off_final[off] = False
+        if not len(off):
             dists[i] = 0.0
             continue
-        pa = xy[sorted(off)]
-        pb = xy[list(final)]
+        pa = xy[off]
+        pb = xy[final]
         dx = pa[:, :1] - pb[:, 0]
         dy = pa[:, 1:] - pb[:, 1]
-        dists[i] = float((dx * dx + dy * dy).min(1).max()) ** 0.5
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dists[i] = float(dx.min(1).max()) ** 0.5
     qs = np.quantile(dists, [0.5, 0.9])
     return {
         "n": num_samples,

@@ -18,6 +18,7 @@ from lerw.chain import (
     MarkovChain,
     StepCapExceeded,
     _cum_row,
+    _pair_table,
     _philox_key,
     _row_tables,
     _step_table,
@@ -341,3 +342,27 @@ class TestStepRule:
             got = table[v * width + ks] // width
             assert got.tolist() == [js[bisect_right(cs, u)] for u in us.tolist()], v
 
+    def test_pair_table_makes_two_steps_and_targets_absorb(self):
+        # entry (v << shift) + k1 * width + k2 is two bisect steps from v,
+        # except that a flagged row never leaves itself
+        nbrs = [[1], [0, 2], [1, 3, 4], [2, 4, 5, 6], [2, 3], [3], [3], []]
+        shared = {d: _cum_row(np.full(d, 1.0) / d) for d in range(5)}
+        cums = [shared[len(r)] for r in nbrs]
+        flags = np.array([False, False, False, False, True, False, True, False])
+        cuts, width, shift, pair, mid = _pair_table(nbrs, cums, flags)
+        assert width == 6 and 1 << shift == 64 and len(cuts) == 5
+        offsets = np.arange(-64, 65, dtype=np.int64)
+        edges = np.concatenate([[0.0], cuts])
+        near = (edges.view(np.int64)[:, None] + offsets).view(np.float64).ravel()
+        us = np.concatenate([near[(near >= 0.0) & (near < 1.0)], np.random.default_rng(0).random(500)])
+        cells = (us[:, None] >= cuts).sum(1)
+
+        def one(v, u):
+            return v if flags[v] or not nbrs[v] else nbrs[v][bisect_right(cums[v], u)]
+
+        for v in range(len(nbrs)):
+            for u1, k1 in zip(us[::7].tolist(), cells[::7].tolist()):
+                idx = (v << shift) + k1 * width + cells
+                w = one(v, u1)
+                assert mid[idx].tolist() == [w] * len(us), (v, u1)
+                assert (pair[idx] >> shift).tolist() == [one(w, u2) for u2 in us.tolist()], (v, u1)

@@ -1,10 +1,12 @@
 """Set metrics, empirical image laws, and the scaling experiments."""
 
+import functools
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -28,6 +30,7 @@ from lerw.fractal import (
     FractalGraph,
     adjacency_arrays,
     carpet_graph,
+    carpet_traces,
     corner_indices,
     gasket_graph,
     standard_carpet,
@@ -109,6 +112,21 @@ class TestHausdorff:
         assert d("a", "c") == pytest.approx(2.0, abs=1e-9)
         assert hausdorff(["a"], ["c"], metric=d) == pytest.approx(2.0, abs=1e-9)
         assert hausdorff(["a", "b"], ["b", "c"], metric=d) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["gasket-2", "carpet-trace-5"])
+    def test_resistance_metric_matches_effective_resistance(self, which):
+        # the grounded dense solve against the sparse Dirichlet solve, on
+        # every pair; the carpet trace is the 4-corner network of level 5
+        if which == "gasket-2":
+            net = uniform_network(gasket_graph(2), "double")
+        else:
+            net = carpet_traces(standard_carpet(), [5])[5]
+        d = resistance_metric(net)
+        pairs = [(p, q) for p in net.vertices for q in net.vertices if p != q]
+        assert len(pairs) == (210 if which == "gasket-2" else 12)
+        for p, q in pairs:
+            assert d(p, q) == pytest.approx(effective_resistance(net, p, q), rel=1e-12, abs=0), (p, q)
+        assert d(net.vertices[0], net.vertices[0]) == 0.0
 
 
 K00 = (((0, 0),),)
@@ -281,6 +299,107 @@ class TestGraphWalks:
         )
 
 
+@functools.cache
+def carpet2_chain_walks(seed, count):
+    g = family_graph("carpet", 2)
+    c = corner_indices(g)
+    chain = walk_from_network(uniform_network(g, "double"))
+    return [sample_until_entry(chain, c[0], [c[-1]], trajectory_stream(seed, i)) for i in range(count)]
+
+
+class TestPoolWidth:
+    """The pool width changes only the speed of graph walks: the walks,
+    and everything computed from them, are the same at any width."""
+
+    @pytest.mark.parametrize("pool", [1, 64, 200, LOCKSTEP_POOL])
+    def test_walks_equal_chain_walks_at_any_pool_width(self, pool, monkeypatch):
+        g = family_graph("carpet", 2)
+        c = corner_indices(g)
+        count = 300
+        expected = carpet2_chain_walks(41, count)
+        tails = []
+        walk = lerw.chain._walk
+
+        def spy(nbrs, cums, start, is_target, rng, step_cap):
+            tails.append(start)
+            return walk(nbrs, cums, start, is_target, rng, step_cap)
+
+        monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", pool)
+        monkeypatch.setattr(lerw.chain, "_walk", spy)
+        walks = dict(_graph_walks(WalkConfig(g, 41), c[0], [c[-1]], count))
+        assert sorted(walks) == list(range(count))
+        for i in range(count):
+            assert tuple(walks[i].tolist()) == expected[i], i
+        # count - pool walks finish into a refilled slot and len(tails) in
+        # _walk; the other pool - len(tails) finish in lockstep after the
+        # last index started, each dropping its row from the pool
+        if pool >= LOCKSTEP_TAIL:
+            assert len(tails) < LOCKSTEP_TAIL
+        else:
+            assert len(tails) == pool
+
+    def test_step_cap_mid_block_after_rows_were_dropped(self, monkeypatch):
+        # every index starts at once, so each walk that ends drops its
+        # row; the cap then falls inside a block while more than
+        # LOCKSTEP_TAIL walkers are still in lockstep
+        g = family_graph("carpet", 2)
+        c = corner_indices(g)
+        count = 128
+        expected = carpet2_chain_walks(41, count)
+        steps = [len(w) - 1 for w in expected]
+        cap = sorted(steps)[-(LOCKSTEP_TAIL + 2)]
+        done = cap - 1 - (cap - 1) % LOCKSTEP_BLOCK  # steps made before the cap's block
+        assert cap % LOCKSTEP_BLOCK and done > 0
+        assert sum(s > done for s in steps) > LOCKSTEP_TAIL
+        monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", count)
+        monkeypatch.setattr(lerw.chain, "_walk", None)  # never reached
+        got = {}
+        with pytest.raises(StepCapExceeded, match=f"within {cap} steps"):
+            for i, w in _graph_walks(WalkConfig(g, 41, step_cap=cap), c[0], [c[-1]], count):
+                got[i] = w
+        assert sorted(got) == [i for i, s in enumerate(steps) if s <= done]
+        for i, w in got.items():
+            assert tuple(w.tolist()) == expected[i], i
+
+    def test_step_cap_in_the_serial_tail_names_the_cap(self, monkeypatch):
+        # only the longest walk outlives the cap, after the others have
+        # left the pool, so it runs out of steps in _walk
+        g = family_graph("carpet", 2)
+        c = corner_indices(g)
+        count = 128
+        steps = sorted(len(w) - 1 for w in carpet2_chain_walks(41, count))
+        cap = steps[-1] - 1
+        done = cap - 1 - (cap - 1) % LOCKSTEP_BLOCK  # steps made before the cap's block
+        assert steps[-2] <= cap and sum(s > done for s in steps) < LOCKSTEP_TAIL
+        raised = []
+        walk = lerw.chain._walk
+
+        def spy(nbrs, cums, start, is_target, rng, step_cap):
+            try:
+                return walk(nbrs, cums, start, is_target, rng, step_cap)
+            except StepCapExceeded:
+                raised.append(step_cap)
+                raise
+
+        monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", count)
+        monkeypatch.setattr(lerw.chain, "_walk", spy)
+        walks = _graph_walks(WalkConfig(g, 41, step_cap=cap), c[0], [c[-1]], count)
+        with pytest.raises(StepCapExceeded, match=f"within {cap} steps"):
+            dict(walks)
+        assert len(raised) == 1 and raised[0] < cap
+
+    def test_coupled_distances_are_byte_equal_at_any_pool_width(self, monkeypatch):
+        g = family_graph("carpet", 2)
+        c = corner_indices(g)
+        runs = []
+        for pool in (1, 64, 200, LOCKSTEP_POOL):
+            monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", pool)
+            st = coupled_refinement_distance(WalkConfig(g, 13), 1, c[0], [c[3]], 300)
+            runs.append((st["distances"].tobytes(), st["stats"]))
+        assert all(run == runs[0] for run in runs[1:])
+        assert runs[0][1]["walk_steps_max"] > LOCKSTEP_BLOCK
+
+
 class TestLerwSetLaw:
     def test_deterministic_walk_is_dirac(self):
         g = path_stub(2)
@@ -370,6 +489,25 @@ class TestLerwSetLaw:
 
 
 class TestCoupledRefinement:
+    def test_sampler_memory_is_bounded(self):
+        # Peak traced memory of 300 coupled walks on carpet m3 (seed 1):
+        # 2.15 MiB with a 64-walker pool stepping once per gather, 3.13
+        # MiB with the 128-walker pool, pair table and flush buffer of
+        # today.  The bound is the former plus 75%; pools of 192 and 256
+        # walkers read 3.79 and 4.19 MiB and fail it.
+        g = carpet_graph(standard_carpet(), 3)
+        c = corner_indices(g)
+        config = WalkConfig(g, 1)
+        # builds the graph's cached arrays and imports numpy.random
+        coupled_refinement_distance(config, 2, c[0], [c[3]], 3)
+        tracemalloc.start()
+        try:
+            coupled_refinement_distance(config, 2, c[0], [c[3]], 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2.15 * 2**20
+
     def test_sampling_never_imports_scipy(self):
         # scipy.sparse adds about 20 MB to a process that only samples
         code = """

@@ -4,10 +4,13 @@ from fractions import Fraction
 from random import Random
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from lerw._exact import SingularSystemError, solve_fraction
+import lerw._exact
+from lerw._exact import SingularSystemError, check_residual, solve_fraction
 from lerw.chain import sample_until_entry, trajectory_stream
 from lerw.exactlaw import green_diagonal, traced_kernel
 from lerw.fractal import corner_indices, gasket_graph, uniform_network
@@ -555,3 +558,30 @@ class TestResidualCheck:
         for call in calls:
             with pytest.raises(SingularSystemError, match="residual"):
                 call()
+
+    def test_dense_row_sums_in_blocks_equal_the_whole(self, monkeypatch):
+        # row blocks of |a| give the same scale bit for bit, also on a
+        # strided view like the grounded block of a larger Laplacian
+        rng = np.random.default_rng(5)
+        big = rng.standard_normal((60, 70)) * np.exp(rng.uniform(-20, 20, (60, 1)))
+        monkeypatch.setattr(lerw._exact, "RESIDUAL_ROWS", 7)
+        for a in (big, big[:45, :45], big[::2, 3:]):
+            assert lerw._exact._max_row_sum(a) == abs(a).sum(axis=1).max()
+        a = big[:45, :45] + 50 * np.eye(45) * abs(big[:45, :45]).max()
+        x = np.linalg.solve(a, np.ones(45))
+        check_residual(a, x, np.ones(45))
+        with pytest.raises(SingularSystemError, match="residual"):
+            check_residual(a, x * (1 + 1e-6), np.ones(45))
+
+    def test_dense_check_holds_no_copy_of_the_matrix(self):
+        n = 1200
+        a = np.eye(n) * 4 - np.eye(n, k=1) - np.eye(n, k=-1)
+        b = np.ones(n)
+        x = np.linalg.solve(a, b)
+        tracemalloc.start()
+        try:
+            check_residual(a, x, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 2
