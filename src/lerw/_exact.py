@@ -1,8 +1,9 @@
 """Exact and checked linear solves.
 
 `eliminate` is the package's one sparse exact elimination, GTH state
-reduction of integer rows with optional loads and back-substitution
-records: `exactlaw` runs it on chains, `network` on rational Laplacians.
+reduction of integer rows with optional loads, back-substitution records
+and elimination order: `exactlaw` runs it on chains (tower chains in an
+order of its own), `network` on rational Laplacians.
 `solve_fraction` is dense Gauss-Jordan over Fraction, for `exactlaw.green`
 and the tests' references.  Every float solve in the package (the sparse
 network solves) passes its result through `check_residual`, since
@@ -15,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +32,26 @@ RESIDUAL_ROWS = 256
 
 
 def eliminate(
-    out: list, sinks: list, keep: set, loads: list | None = None, stars: list | None = None
+    out: list,
+    sinks: list,
+    keep: set,
+    loads: list | None = None,
+    stars: list | None = None,
+    order: Sequence[int] | None = None,
 ) -> None:
     """Reduce integer rows onto the rows in keep by GTH state reduction
     (Grassmann, Taksar and Heyman 1985).
 
     Row i reads T_i x_i = loads[i] + sum_k out[i][k] x_k + sum_z
     sinks[i][z] x_z: out[i] and sinks[i] map rows and sink labels to
-    positive weights totalling T_i, and the load (0 if loads is None) is
-    an injected current outside that total.  Rows outside keep go fewest
-    in-edges times out-edges first (ties by id); eliminating s makes each
+    positive weights totalling T_i, and the load (0 if loads is None, when
+    no load arithmetic is done) is an injected current outside that total.
+    Rows outside keep go in the given order, which must name each of them
+    exactly once (else ValueError), or else fewest in-edges times
+    out-edges first (ties by id), a min-degree heap.  The result does not
+    depend on the order, only its cost does: the heap suits networks,
+    whose local rows it keeps sparse, while a tower chain eliminated
+    leaves first needs no heap at all.  Eliminating s makes each
     predecessor row, load included, T_s * row_i + w_is * row_s over its
     gcd.  The self-loops of rows still to be eliminated are dropped, so
     nothing is ever subtracted.  Kept rows keep theirs: a chain's kept
@@ -48,29 +60,36 @@ def eliminate(
     list, receives (s, out_s, sinks_s, load_s, T_s) for each eliminated
     row in order, for back-substitution in reverse.
     """
-    if loads is None:
-        loads = [0] * len(out)
+    live = set(range(len(out))) - keep
+    if order is not None and (len(order) != len(live) or set(order) != live):
+        raise ValueError("order must name every row outside keep exactly once")
     preds = [set() for _ in out]
     for i, row in enumerate(out):
         if i not in keep:
             row.pop(i, None)
         for k in row:
             preds[k].add(i)
-    live = set(range(len(out))) - keep
 
     def cost(t: int) -> int:
         return len(preds[t]) * (len(out[t]) + len(sinks[t]))
 
-    heap = [(cost(t), t) for t in live]  # stale entries are skipped
-    heapq.heapify(heap)
-    while heap:
-        c, s = heapq.heappop(heap)
-        if s not in live or c != cost(s):
-            continue
-        live.discard(s)
-        out_s, sinks_s, load_s = out[s], sinks[s], loads[s]
-        out[s] = sinks[s] = None
+    def pops():  # the min-degree order, stale heap entries skipped
+        heap = [(cost(t), t) for t in live]
+        heapq.heapify(heap)
+        while heap:
+            c, s = heapq.heappop(heap)
+            if s not in live or c != cost(s):
+                continue
+            live.discard(s)
+            succ = out[s].keys()
+            yield s
+            for t in (preds[s] | succ) & live:
+                heapq.heappush(heap, (cost(t), t))
+
+    for s in pops() if order is None else order:
+        out_s, sinks_s = out[s], sinks[s]
         total = sum(out_s.values()) + sum(sinks_s.values())
+        load_s = loads[s] if loads is not None else 0
         if stars is not None:
             stars.append((s, out_s, sinks_s, load_s, total))
         for k in out_s:
@@ -83,21 +102,22 @@ def eliminate(
                     row_i[k] *= total
                 for k, v in row_s.items():
                     row_i[k] = row_i.get(k, 0) + w * v
-            load_i = loads[i] * total + w * load_s
             if i not in keep:
                 out_i.pop(i, None)
             for k in out_s:
                 if k != i:
                     preds[k].add(i)
-            g = math.gcd(*out_i.values(), *sinks_i.values(), load_i)
+            if loads is None:
+                g = math.gcd(*out_i.values(), *sinks_i.values())
+            else:
+                load_i = loads[i] * total + w * load_s
+                g = math.gcd(*out_i.values(), *sinks_i.values(), load_i)
+                loads[i] = load_i // g if g > 1 else load_i
             if g > 1:
                 for row_i in (out_i, sinks_i):
                     for k in row_i:
                         row_i[k] //= g
-                load_i //= g
-            loads[i] = load_i
-        for t in (preds[s] | out_s.keys()) & live:
-            heapq.heappush(heap, (cost(t), t))
+        out[s] = sinks[s] = None
 
 
 def solve_fraction(a, b):

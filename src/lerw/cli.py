@@ -749,8 +749,14 @@ def _equality_cases(chain: MarkovChain, rng: Random, max_cases: int) -> list:
 
 
 def _cmd_verify_theorem1(cfg: dict) -> int:
-    out = _out_dir(cfg)
     fuzzing = int(cfg["chains"]) > 0 and cfg.get("chain") is None
+    max_cases = int(cfg["max_cases"])
+    if max_cases < 1:
+        raise UsageError(f"--max-cases must be at least 1, got {max_cases}")
+    states_max = int(cfg["states_max"])
+    if fuzzing and not 3 <= states_max <= 5:
+        raise UsageError(f"--states-max must lie in 3..5 (fuzz chain sizes), got {states_max}")
+    out = _out_dir(cfg)
     seed = _resolve_seed(cfg, announce=True)
     rng = Random(seed)
     inject = bool(cfg.get("inject_ple_bug"))
@@ -759,9 +765,6 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     if cfg.get("chain") is not None:
         chains = [_load_chain(cfg)]
     elif fuzzing:
-        states_max = int(cfg["states_max"])
-        if states_max > 5:
-            raise UsageError("fuzz chains are capped at 5 states")
         chains = [dense_chain(rng, rng.randint(3, states_max)) for _ in range(int(cfg["chains"]))]
     else:
         chains = [bundled_chain()]
@@ -777,7 +780,7 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     worst = None
     counterexample = None
     for ci, chain in enumerate(chains):
-        cases = _equality_cases(chain, rng, int(cfg["max_cases"]))
+        cases = _equality_cases(chain, rng, max_cases)
         if inject:
             # pin one case known to surface the corruption regardless of
             # which random cases the cap keeps

@@ -16,9 +16,11 @@ exact arithmetic on them and rounds each result once.
 Erased-walk laws aggregate trajectories by their "tower", the running
 erasure state of the whole pipeline (a sufficient statistic for its
 output).  With tol given and a last stage retaining every non-absorbing
-state, the tower chain is finite and is reduced onto its start tower:
-the law is exact and its tail bound 0.  Otherwise mass is stepped
-forward in time and the tail bound is the certified unabsorbed mass.
+state, the tower chain is finite and is reduced onto its start tower,
+leaves first in reverse breadth-first discovery order (`_reduce` and
+`network` keep the min-degree order): the law is exact and its tail
+bound 0.  Otherwise mass is stepped forward in time and the tail bound
+is the certified unabsorbed mass.
 The slow per-trajectory recursion is kept alongside as a cross-check.
 
 Both routes end with integers over one scale: the elimination's weights
@@ -44,8 +46,9 @@ DELTA = "Δ"  # absorbing sink label used by traced kernels
 ENUM_STATE_GUARD = 8  # most chain states an enumeration accepts
 # Most towers an exact elimination may build.  The complete 8-state
 # digraph with one absorbing state is the worst support: "LE" needs 1,957
-# towers, the largest two-stage pipeline 717,169 (solved in 57 s at
-# 1.3 GB) and three-stage pipelines with the start in the first stage at
+# towers, the largest two-stage pipeline 717,169 (a first stage of three
+# states missing the start; solved in 28 s at 1.1 GB peak RSS on a 2-vCPU
+# Xeon) and three-stage pipelines with the start in the first stage at
 # most 334,502; 24 of the 30 three-stage classes whose first stage misses
 # the start need more than a million and raise GuardError.
 TOWER_GUARD = 1_000_000
@@ -462,17 +465,24 @@ def enumerate_erasure_law(
     state (as "LE" and every pipeline ending in the full set do), the
     towers reachable from the start are finitely many.  The tower chain
     is then built by breadth-first search and eliminated exactly
-    (`_exact.eliminate`), so the law is exact and tail_bound is 0 whatever
-    tol is; double laws that agree in exact arithmetic agree bit for bit.
+    (`_exact.eliminate`) in reverse discovery order, leaves first, so the
+    law is exact and tail_bound is 0 whatever tol is; the order changes
+    the cost only, and double laws that agree in exact arithmetic agree
+    bit for bit.
     A tower chain of more than TOWER_GUARD towers raises GuardError.
     Otherwise the mass is stepped forward one walk step at a time: for
     length_cap steps when tol is None, else until the mass still
     unabsorbed is at most tol.  tail_bound is that unabsorbed mass, a
     certified bound on what the atoms miss.
 
-    step_fn overrides the innermost erasure fold step; it exists so
-    negative controls can inject a broken erasure.  Like fold_step, it must
-    end its output with the state it consumed.  Leave it None.
+    A move into the absorbing set is fed to the innermost stage alone:
+    the walk stops on entry, so no stage has consumed that state and no
+    outer stage can roll back on it.
+
+    step_fn overrides the innermost erasure fold step, absorbing moves
+    included; it exists so negative controls can inject a broken erasure.
+    Like fold_step, it must end its output with the state it consumed.
+    Leave it None.
     """
     a = frozenset(absorbing)
     if not a:
@@ -532,11 +542,11 @@ def enumerate_erasure_law(
         nxt: dict = {}
         ends: dict = {}
         for j, w in moves[at[sid]]:
-            fed = _tower_feed(tw, states[j], stages, 0, step)
             if in_a[j]:
-                k, row = _tower_final(fed, depth), ends
+                # j was never consumed, so no outer stage can roll back on it
+                k, row = step(_tower_final(tw, depth), states[j], last), ends
             else:
-                k, row = intern(fed, j), nxt
+                k, row = intern(_tower_feed(tw, states[j], stages, 0, step), j), nxt
             row[k] = row.get(k, 0) + w
         return nxt, ends
 
@@ -549,7 +559,8 @@ def enumerate_erasure_law(
             nxt, ends = expand(len(out))
             out.append(nxt)
             sinks.append(ends)
-        eliminate(out, sinks, {origin})
+        # leaves first: reverse breadth-first discovery, the start (tower 0) kept
+        eliminate(out, sinks, {origin}, order=range(len(out) - 1, origin, -1))
         weights = sinks[origin]
         total = sum(weights.values())
         if rational:

@@ -7,9 +7,9 @@ from random import Random
 
 import pytest
 
-from lerw.chain import chain_to_text, dense_chain
-from lerw.cli import main
-from lerw.exactlaw import law_from_text
+from lerw.chain import build_chain, chain_to_text, dense_chain
+from lerw.cli import _buggy_ple_step, main
+from lerw.exactlaw import enumerate_erasure_law, law_from_text, tv_distance
 from lerw.fractal import corner_indices, gasket_graph, standard_carpet, template_to_text
 from lerw.limits import WalkConfig, coupled_refinement_distance, resistance_scaling, set_law_from_text
 
@@ -324,6 +324,25 @@ class TestVerifyTheorem1:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_non_positive_max_cases_exits_two(self, tmp_path, capsys, cases):
+        # 0 used to pass vacuously and -1 to drop one case through cases[:-1]
+        code = main(["verify-theorem1", "--seed", "3", "--max-cases", cases, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"--max-cases must be at least 1, got {cases}" in capsys.readouterr().err
+        assert not (tmp_path / "verify_theorem1.json").exists()
+
+    @pytest.mark.parametrize("states_max", ["2", "0", "6"])
+    def test_states_max_outside_range_exits_two(self, tmp_path, capsys, states_max):
+        code = main(
+            ["verify-theorem1", "--seed", "3", "--chains", "2", "--states-max", states_max,
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert f"--states-max must lie in 3..5 (fuzz chain sizes), got {states_max}" in (
+            capsys.readouterr().err
+        )
+
     def test_injected_bug_is_located(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"inject_ple_bug": True, "seed": 3, "max_cases": 20}))
@@ -336,6 +355,22 @@ class TestVerifyTheorem1:
         assert ce["pipeline"][0] == ["a", "b"]
         assert Fraction(ce["tv_distance"]) > Fraction(ce["tail_bound_sum"])
         assert read_json(tmp_path / "verify_theorem1.json")["pass"] is False
+
+
+    def test_injected_counterexample_reproduces(self, tmp_path):
+        # the located instance, rebuilt from the file alone, splits the same
+        # way when the broken step is fed every move, absorbing ones included
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"inject_ple_bug": True, "seed": 4, "max_cases": 5}))
+        assert main(["verify-theorem1", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        ce = read_json(tmp_path / "counterexample.json")
+        chain = build_chain(ce["states"], ce["kernel"])
+        a = frozenset(ce["absorbing"])
+        pipe = [frozenset(v) for v in ce["pipeline"]]
+        le = enumerate_erasure_law(chain, ce["start"], a, "LE", length_cap=12)
+        bad = enumerate_erasure_law(chain, ce["start"], a, pipe, length_cap=12, step_fn=_buggy_ple_step)
+        assert str(tv_distance(le, bad)) == ce["tv_distance"]
+        assert str(le.tail_bound + bad.tail_bound) == ce["tail_bound_sum"]
 
 
 class TestVerifyGreen:

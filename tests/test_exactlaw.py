@@ -6,10 +6,11 @@ from random import Random
 
 import pytest
 
-from lerw import exactlaw
+from lerw import _exact, exactlaw
 from lerw._exact import SingularSystemError, solve_fraction
 from lerw.chain import MarkovChain, build_chain, dense_chain as named_chain, reachability_closure
-from lerw.erasure import loop_erase, partial_loop_erase
+from lerw.cli import _buggy_ple_step, bundled_chain
+from lerw.erasure import fold_step, loop_erase, partial_loop_erase
 from lerw.exactlaw import (
     DELTA,
     GuardError,
@@ -446,6 +447,139 @@ class TestExactElimination:
         # of the same broken step interns 91 towers and still returns
         capped = enumerate_erasure_law(ch, "a", {"d"}, pipe, length_cap=12, step_fn=bad_step)
         assert capped.tail_bound > 0
+
+
+def pipeline_shapes(rng: Random, states: tuple, start, absorbing: frozenset) -> list:
+    """LE plus one 2- and one 3-stage pipeline with the start inside V1 and
+    one of each with it outside, stages drawn at random below the full set."""
+    full = frozenset(states)
+    others = [s for s in states if s != start and s not in absorbing]
+    shapes: list = ["LE"]
+    for start_in in (True, False):
+        v1 = frozenset(rng.sample(others, rng.randint(0 if start_in else 1, len(others))))
+        v1 |= {start} if start_in else set()
+        v2 = v1 | frozenset(rng.sample(others, rng.randint(0, len(others))))
+        shapes += [[v1, full], [v1, v2, full]]
+    return shapes
+
+
+def heap_eliminate(out, sinks, keep, order=None):
+    """`_exact.eliminate` with the order dropped, so the min-degree heap runs."""
+    _exact.eliminate(out, sinks, keep)
+
+
+class TestEliminationOrder:
+    """The tower chain goes leaves first; the result must not depend on it."""
+
+    def test_orders_agree_fuzz(self, monkeypatch):
+        rng = Random(29)
+        cases = []
+        for i in range(40):
+            ch = dense_chain(rng, 3 + i % 4)
+            states = ch.states
+            a = frozenset(rng.sample(states, rng.randint(1, len(states) - 2)))
+            start = rng.choice([s for s in states if s not in a])
+            for pipe in pipeline_shapes(rng, states, start, a):
+                cases += [(ch, start, a, pipe), (ch.as_double(), start, a, pipe)]
+        laws = [enumerate_erasure_law(ch, x, a, pipe, tol=1e-9) for ch, x, a, pipe in cases]
+        monkeypatch.setattr(exactlaw, "eliminate", heap_eliminate)
+        for (ch, x, a, pipe), law in zip(cases, laws):
+            heap = enumerate_erasure_law(ch, x, a, pipe, tol=1e-9)
+            assert law.tail_bound == heap.tail_bound == 0
+            # rational: Fraction ==; double: the same floats bit for bit
+            assert law.atoms == heap.atoms, (ch.mode, x, sorted(a), pipe)
+            assert law_to_text(law) == law_to_text(heap)
+        assert {len(ch.states) for ch, *_ in cases} == {3, 4, 5, 6}
+
+    def test_tower_chain_is_eliminated_leaves_first(self, monkeypatch):
+        seen = []
+
+        def spy(out, sinks, keep, order=None):
+            seen.append((len(out), keep, list(order)))
+            _exact.eliminate(out, sinks, keep, order=order)
+
+        monkeypatch.setattr(exactlaw, "eliminate", spy)
+        ch = dense_chain(Random(3), 4)
+        enumerate_erasure_law(ch, "a", {"d"}, [frozenset("b"), frozenset(ch.states)], tol=1e-9)
+        ((n, keep, order),) = seen
+        assert keep == {0} and order == list(range(n - 1, 0, -1)) and n > 1
+
+    def test_given_order_is_followed(self):
+        # a three-row chain 0 -> 1 -> 2 -> sink, keeping row 0
+        out = [{1: 1}, {2: 2, 0: 1}, {1: 1}]
+        sinks = [{}, {}, {"z": 3}]
+        stars: list = []
+        _exact.eliminate(out, sinks, {0}, stars=stars, order=[1, 2])
+        assert [s for s, *_ in stars] == [1, 2]
+        # from 0 the chain returns to 0 with probability 2/5 and ends at z otherwise
+        row, dead = out[0], sinks[0]
+        assert Fraction(row[0], row[0] + dead["z"]) == Fraction(2, 5)
+
+    @pytest.mark.parametrize(
+        "order",
+        [[1], [1, 1], [1, 2, 2], [0, 1, 2], [1, 3]],
+        ids=["misses", "repeats-in-place", "repeats", "names-kept", "unknown"],
+    )
+    def test_bad_order_rejected(self, order):
+        out = [{1: 1}, {2: 2, 0: 1}, {1: 1}]
+        sinks = [{}, {}, {"z": 3}]
+        with pytest.raises(ValueError, match="exactly once"):
+            _exact.eliminate(out, sinks, {0}, order=order)
+        # rejected before any row is touched
+        assert out == [{1: 1}, {2: 2, 0: 1}, {1: 1}] and sinks == [{}, {}, {"z": 3}]
+
+    def test_reduce_keeps_the_heap(self, monkeypatch):
+        orders = []
+
+        def spy(out, sinks, keep, order=None):
+            orders.append(order)
+            _exact.eliminate(out, sinks, keep, order=order)
+
+        monkeypatch.setattr(exactlaw, "eliminate", spy)
+        traced_kernel(dense_chain(Random(4), 5), "abc", "e")
+        assert orders == [None]
+
+
+class TestAbsorbingMoves:
+    """A move into the absorbing set is fed to the innermost stage only, but
+    still through step_fn, so negative controls see every step."""
+
+    @staticmethod
+    def marking_step(prefix, y, retained):
+        out = fold_step(prefix, y, retained)
+        return out + ("!",) if y == "d" else out
+
+    @pytest.mark.parametrize(
+        "pipe", ["LE", ["ab", "abcd"], ["b", "abc", "abcd"]], ids=["LE", "two", "three"]
+    )
+    @pytest.mark.parametrize("solve", [True, False], ids=["eliminated", "stepped"])
+    def test_step_fn_sees_absorbing_moves(self, pipe, solve):
+        ch = dense_chain(Random(8), 4)
+        if pipe != "LE":
+            pipe = [frozenset(v) for v in pipe]
+        kw = {"tol": 1e-9} if solve else {"length_cap": 8}
+        law = enumerate_erasure_law(ch, "a", {"d"}, pipe, step_fn=self.marking_step, **kw)
+        plain = enumerate_erasure_law(ch, "a", {"d"}, pipe, **kw)
+        assert law.atoms == {p + ("!",): m for p, m in plain.atoms.items()}
+        assert law.tail_bound == plain.tail_bound
+
+    def test_buggy_step_sees_absorbing_moves(self):
+        # the CLI's negative control keeps a revisited state twice; it must
+        # still be called on the moves into the absorbing set, and the
+        # refined law must still split from LE beyond the tail bounds
+        calls = []
+
+        def spy(prefix, y, retained):
+            calls.append(y)
+            return _buggy_ple_step(prefix, y, retained)
+
+        ch = bundled_chain()
+        pipe = [frozenset("ab"), frozenset(ch.states)]
+        le = enumerate_erasure_law(ch, "a", {"d"}, "LE", length_cap=12)
+        bad = enumerate_erasure_law(ch, "a", {"d"}, pipe, length_cap=12, step_fn=spy)
+        assert "d" in calls
+        assert all(p[-1] == "d" for p in bad.atoms)
+        assert tv_distance(le, bad) > le.tail_bound + bad.tail_bound
 
 
 def fraction_law(rng: Random, paths: list, tail_share: int) -> PathLaw:

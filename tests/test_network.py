@@ -496,6 +496,24 @@ class TestRationalSolves:
         c = corner_indices(g)
         assert effective_resistance(net, c[0], c[1]) == Fraction(2, 3) * Fraction(5, 3) ** 5
 
+    def test_rational_solves_keep_the_min_degree_heap(self, monkeypatch):
+        # networks pass no elimination order: reverse vertex order made the
+        # rational carpet m3 corner resistance about five times slower
+        import lerw.network
+
+        orders = []
+
+        def spy(*args, **kwargs):
+            orders.append(kwargs.get("order"))
+            lerw._exact.eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(lerw.network, "eliminate", spy)
+        net = uniform_network(gasket_graph(2), "rational")
+        c = corner_indices(gasket_graph(2))
+        assert effective_resistance(net, c[0], c[1]) == Fraction(2, 3) * Fraction(5, 3) ** 2
+        trace_network(net, c)
+        assert len(orders) == 2 and orders == [None, None]
+
     def test_long_path_closed_forms(self):
         n = 1100
         net = build_network([(f"p{i}", f"p{i+1}", 1) for i in range(n)])
