@@ -468,6 +468,18 @@ def heap_eliminate(out, sinks, keep, order=None):
     _exact.eliminate(out, sinks, keep)
 
 
+def record_orders(monkeypatch) -> list:
+    """Make exactlaw's `eliminate` log (rows, keep, order) for each call."""
+    seen: list = []
+
+    def spy(out, sinks, keep, order=None):
+        seen.append((len(out), keep, order))
+        _exact.eliminate(out, sinks, keep, order=order)
+
+    monkeypatch.setattr(exactlaw, "eliminate", spy)
+    return seen
+
+
 class TestEliminationOrder:
     """The tower chain goes leaves first; the result must not depend on it."""
 
@@ -492,17 +504,11 @@ class TestEliminationOrder:
         assert {len(ch.states) for ch, *_ in cases} == {3, 4, 5, 6}
 
     def test_tower_chain_is_eliminated_leaves_first(self, monkeypatch):
-        seen = []
-
-        def spy(out, sinks, keep, order=None):
-            seen.append((len(out), keep, list(order)))
-            _exact.eliminate(out, sinks, keep, order=order)
-
-        monkeypatch.setattr(exactlaw, "eliminate", spy)
+        seen = record_orders(monkeypatch)
         ch = dense_chain(Random(3), 4)
         enumerate_erasure_law(ch, "a", {"d"}, [frozenset("b"), frozenset(ch.states)], tol=1e-9)
         ((n, keep, order),) = seen
-        assert keep == {0} and order == list(range(n - 1, 0, -1)) and n > 1
+        assert keep == {0} and list(order) == list(range(n - 1, 0, -1)) and n > 1
 
     def test_given_order_is_followed(self):
         # a three-row chain 0 -> 1 -> 2 -> sink, keeping row 0
@@ -529,15 +535,9 @@ class TestEliminationOrder:
         assert out == [{1: 1}, {2: 2, 0: 1}, {1: 1}] and sinks == [{}, {}, {"z": 3}]
 
     def test_reduce_keeps_the_heap(self, monkeypatch):
-        orders = []
-
-        def spy(out, sinks, keep, order=None):
-            orders.append(order)
-            _exact.eliminate(out, sinks, keep, order=order)
-
-        monkeypatch.setattr(exactlaw, "eliminate", spy)
+        seen = record_orders(monkeypatch)
         traced_kernel(dense_chain(Random(4), 5), "abc", "e")
-        assert orders == [None]
+        assert [order for _, _, order in seen] == [None]
 
 
 class TestAbsorbingMoves:
