@@ -22,6 +22,7 @@ the same bit for bit in either loop.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,13 +86,16 @@ class MarkovChain:
             raise ValueError("duplicate state identifiers")
         if len(self.kernel) != n or any(len(r) != n for r in self.kernel):
             raise ValueError("kernel must be square and match the state count")
-        for row in self.kernel:
+        for x, row in zip(self.states, self.kernel):
             if any(p < 0 for p in row):
                 raise ValueError("negative transition probability")
             s = sum(row)
             if self.mode == "rational":
                 if s != 1:
                     raise ValueError(f"row sums to {s}, not 1")
+            elif not math.isfinite(s):
+                # NaN fails both checks around it; a non-finite entry makes the sum non-finite
+                raise ValueError(f"row {x!r} has a non-finite entry")
             elif abs(s - 1.0) > SUM_TOL:
                 raise ValueError(f"row sums to {s!r}, not 1")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})

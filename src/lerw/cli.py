@@ -937,6 +937,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cases checked per chain")
     p.add_argument("--tol", type=float, help="any positive value solves each law exactly (tail bound 0)")
     p.add_argument("--length-cap", type=int, dest="length_cap")
+    p.add_argument("--inject-ple-bug", dest="inject_ple_bug", action="store_true", default=None,
+                   help="negative control: refine with a broken erasure step, expect FAIL")
     p.set_defaults(cmd=_cmd_verify_theorem1)
 
     p = sub.add_parser("verify-green", help="visit-count identities, exact rational fuzz")

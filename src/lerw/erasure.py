@@ -24,7 +24,7 @@ integer states under a boolean erasable mask, for sampled graph walks.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def algorithm_one(w: Sequence, b) -> tuple:
     If b does not survive plain loop erasure the output is just the
     loop erasure of w.  Otherwise the surviving prefix up to b is kept
     and the remainder of w is reversed, loop-erased, and reversed back
-    before joining.
+    before joining.  Tests assert that both endpoints of w survive.
     """
     w = _as_path(w)
     le = loop_erase(w)
@@ -255,7 +255,8 @@ def algorithm_two(w: Sequence, b, retained: Iterable | None = None) -> tuple:
     The tail after b is only partially erased (about every state except
     b) and a final full loop erasure cleans up.  retained defaults to all
     states of w except b; an explicit retained set must contain every
-    state of w other than b and must not contain b.
+    state of w other than b and must not contain b.  Tests assert that
+    the output equals algorithm_one's path for path, not only in law.
     """
     w = _as_path(w)
     if retained is None:
@@ -275,40 +276,3 @@ def algorithm_two(w: Sequence, b, retained: Iterable | None = None) -> tuple:
         tail_ple = reverse_path(partial_loop_erase(reverse_path(tail), retained).path)
         staged = concat_paths(le.path[: j + 1], tail_ple)
     return loop_erase(staged).path
-
-
-def detect_loops(w: Sequence, rho: float, dist: Callable) -> list[tuple[int, int]]:
-    """Index pairs (s1, s2) where w returns to w[s1] after leaving the
-    closed rho-ball around it.
-
-    dist maps a pair of states to a number.  Every witnessing pair is
-    returned, ordered by (s1, s2).
-    """
-    w = _as_path(w)
-    hits = []
-    for s1 in range(len(w)):
-        base = w[s1]
-        escaped = False
-        for s2 in range(s1 + 1, len(w)):
-            if not escaped and dist(base, w[s2]) > rho:
-                escaped = True
-            if w[s2] == base and escaped:
-                hits.append((s1, s2))
-    return hits
-
-
-def detect_long_jumps(w: Sequence, rho: float, avoid: Iterable, dist: Callable) -> list[tuple[int, int]]:
-    """Index pairs (s1, s2) with dist(w[s1], w[s2]) >= rho whose image
-    avoids the given state set entirely."""
-    w = _as_path(w)
-    avoid = frozenset(avoid)
-    hits = []
-    for s1 in range(len(w)):
-        if w[s1] in avoid:
-            continue
-        for s2 in range(s1 + 1, len(w)):
-            if w[s2] in avoid:
-                break
-            if dist(w[s1], w[s2]) >= rho:
-                hits.append((s1, s2))
-    return hits

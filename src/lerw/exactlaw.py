@@ -152,7 +152,8 @@ def green(chain: MarkovChain, domain: Iterable) -> GreenTable:
     The table is one exact dense solve.  Each row is the chain's integer
     weights over their own total, so a double kernel is read at its exact
     values; double mode rounds each exact value once and agrees bit for
-    bit with `green_diagonal`.
+    bit with `green_diagonal`.  Tests assert the strong Markov identity
+    G(x, y) = P_x(hit y before leaving the domain) G(y, y).
     """
     domain = frozenset(domain)
     dom = [s for s in chain.states if s in domain]
@@ -607,7 +608,8 @@ def enumerate_erasure_law(
 
 
 def enumerate_trajectories(chain: MarkovChain, start, absorbing: Iterable, length_cap: int, visit: Callable):
-    """Naive exhaustive recursion over trajectories (cross-check tool).
+    """Naive exhaustive recursion over trajectories: the brute-force
+    reference that tests hold `enumerate_erasure_law`'s atoms and tail to.
 
     Calls visit(trajectory, probability) at every absorption and returns
     the total mass of trajectories still alive at the cap.  Exponential;

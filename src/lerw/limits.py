@@ -18,7 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ._exact import SingularSystemError, check_residual
 from .chain import STEP_CAP, _cum_row, _walk_many
 from .erasure import loop_erase, partial_loop_erase_array, refinement_erase
 from .fractal import (
@@ -31,56 +30,20 @@ from .fractal import (
     to_xy,
     uniform_network,
 )
-from .network import ElectricalNetwork, effective_resistance, laplacian, trace_network
+from .network import effective_resistance, trace_network
 
 
-def hausdorff(a, b, metric=None):
-    """Hausdorff distance between two non-empty point collections.
+def hausdorff(a, b):
+    """Euclidean Hausdorff distance between two non-empty point collections.
 
-    Points are coordinate pairs; the ground metric is Euclidean unless a
-    callable metric(p, q) is supplied.
+    Tests assert the metric axioms: zero on equal sets, symmetry, triangle inequality.
     """
-    pa = list(a)
-    pb = list(b)
-    if not pa or not pb:
+    xa = np.asarray(list(a), dtype=float)
+    xb = np.asarray(list(b), dtype=float)
+    if not len(xa) or not len(xb):
         raise ValueError("hausdorff needs non-empty sets")
-    if metric is None:
-        xa = np.asarray(pa, dtype=float)
-        xb = np.asarray(pb, dtype=float)
-        d2 = ((xa[:, None, :] - xb[None, :, :]) ** 2).sum(-1)
-        return float(max(d2.min(1).max(), d2.min(0).max())) ** 0.5
-    best = 0.0
-    for src, dst in ((pa, pb), (pb, pa)):
-        for p in src:
-            best = max(best, min(metric(p, q) for q in dst))
-    return best
-
-
-def resistance_metric(net: ElectricalNetwork):
-    """Pairwise effective resistance as a pluggable ground metric.
-
-    The Laplacian grounded at the first vertex is inverted by one dense
-    solve, checked by `check_residual`: with G that inverse, zero in the
-    ground's row and column, R(p, q) = G_pp + G_qq - 2 G_pq.  Intended
-    for small networks; SingularSystemError when the solve fails.  A
-    pseudo-inverse is not safe here: when rounding leaves the row sums
-    off by 1e-15, the null singular value can clear its cutoff.
-    """
-    idx = {v: i for i, v in enumerate(net.vertices)}
-    lap = laplacian(net).toarray()
-    a, eye = lap[1:, 1:], np.eye(len(lap) - 1)
-    green = np.zeros_like(lap)
-    try:
-        green[1:, 1:] = np.linalg.solve(a, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from None
-    check_residual(a, green[1:, 1:], eye)
-
-    def metric(p, q):
-        i, j = idx[p], idx[q]
-        return float(green[i, i] + green[j, j] - 2 * green[i, j])
-
-    return metric
+    d2 = ((xa[:, None, :] - xb[None, :, :]) ** 2).sum(-1)
+    return float(max(d2.min(1).max(), d2.min(0).max())) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -91,19 +54,16 @@ class EmpiricalSetLaw:
     total: int
 
     def __post_init__(self):
+        for key, count in self.atoms.items():
+            if type(count) is not int or count < 1:
+                raise ValueError(f"atom count {count!r} of {key} is not a positive int")
         if sum(self.atoms.values()) != self.total:
             raise ValueError("atom counts must sum to the total")
 
 
-def atom_points(law: EmpiricalSetLaw, key) -> np.ndarray:
-    """Embed one atom's exact grid points into the plane."""
-    pts = np.asarray(key, dtype=float) / law.grid
-    if law.kind == "gasket":
-        return np.column_stack([pts[:, 0] + 0.5 * pts[:, 1], pts[:, 1] * (3.0**0.5 / 2)])
-    return pts
-
-
 def empirical_tv(a: EmpiricalSetLaw, b: EmpiricalSetLaw) -> float:
+    """Total variation distance; tests assert that sampled plain and
+    refined erasure laws lie within sampling noise of each other."""
     keys = set(a.atoms) | set(b.atoms)
     return 0.5 * sum(
         abs(a.atoms.get(k, 0) / a.total - b.atoms.get(k, 0) / b.total) for k in keys
@@ -129,62 +89,6 @@ def set_law_from_text(text: str) -> EmpiricalSetLaw:
         key = tuple(tuple(int(v) for v in p.split(",")) for p in pts.split())
         atoms[key] = int(count)
     return EmpiricalSetLaw(kind, int(grid), atoms, int(total))
-
-
-def prokhorov(a: EmpiricalSetLaw, b: EmpiricalSetLaw, tol: float = 1e-6) -> float:
-    """Prokhorov distance between finite set-valued laws.
-
-    Bisects on epsilon; each candidate is checked by Strassen's condition,
-    decided as a max-flow on the bipartite atom graph with an edge where
-    the atoms' Hausdorff distance is below epsilon. Capacities are integer
-    sample counts (cross-multiplied), so feasibility is exact.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    ka = sorted(a.atoms)
-    kb = sorted(b.atoms)
-    pa = [atom_points(a, k) for k in ka]
-    pb = [atom_points(b, k) for k in kb]
-    d = np.array([[hausdorff(x, y) for y in pb] for x in pa])
-    na, nb = len(ka), len(kb)
-    total = a.total * b.total
-    if total > 2**30:
-        raise ValueError("sample totals too large for exact flow capacities")
-    src, snk = na + nb, na + nb + 1
-
-    def feasible(eps: float) -> bool:
-        rows, cols, caps = [], [], []
-        for i, k in enumerate(ka):
-            rows.append(src)
-            cols.append(i)
-            caps.append(a.atoms[k] * b.total)
-        for j, k in enumerate(kb):
-            rows.append(na + j)
-            cols.append(snk)
-            caps.append(b.atoms[k] * a.total)
-        ii, jj = np.nonzero(d < eps)
-        for i, j in zip(ii, jj):
-            rows.append(i)
-            cols.append(na + j)
-            caps.append(total)
-        g = csr_matrix(
-            (np.array(caps, dtype=np.int64), (rows, cols)), shape=(snk + 1, snk + 1)
-        )
-        flow = maximum_flow(g.astype(np.int32), src, snk).flow_value
-        return total - flow <= eps * total
-
-    hi = 1.0 if not d.size else min(1.0, float(d.max()) + tol)
-    if feasible(tol):
-        return 0.0
-    lo = 0.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 @dataclass(frozen=True)

@@ -426,7 +426,8 @@ def harmonic_extension(net: ElectricalNetwork, boundary_values: Mapping) -> dict
     """Energy-minimizing extension of the boundary data.
 
     With indicator boundary data the interior values are hitting
-    probabilities of the 1-set before the 0-set.
+    probabilities of the 1-set before the 0-set; tests assert they equal
+    `hitting_distribution` exactly and sampled walks within noise.
     """
     u = _dirichlet_solve(net, {v: (g,) for v, g in boundary_values.items()}, {})
     return {v: r[0] for v, r in u.items()}
@@ -450,7 +451,10 @@ def effective_resistance(net: ElectricalNetwork, x, y):
 
 def expected_exit_time(net: ElectricalNetwork, x, targets: Iterable):
     """E_x of the walk's entry time into targets, by the Laplacian identity
-    L E = c on the complement (c_v is the vertex weight)."""
+    L E = c on the complement (c_v is the vertex weight).
+
+    Tests assert E_x <= c(complement) * R(x, targets) and gambler's ruin
+    on paths."""
     a = frozenset(targets)
     if not a:
         raise ValueError("target set must be non-empty")
@@ -535,7 +539,7 @@ def check_hitting_bound(net: ElectricalNetwork, x, y, targets: Iterable) -> Hitt
 
     Compares P_x(tau_y < tau_A), computed by harmonic extension, against
     1 - R(x,y)/(R(x,A) - R(x,y)). The bound is vacuous unless
-    R(x,A) > R(x,y).
+    R(x,A) > R(x,y).  Tests assert it holds on random networks.
     """
     a = frozenset(targets)
     if not a or x in a or y in a:

@@ -136,6 +136,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="rows"):
             chain_from_text("a b\n0 1\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_double_entry_rejected(self, bad):
+        # NaN passes both the sign and the row-sum check, so it needs its own
+        text = f"a b c\n{bad} 0.5 0.5\n0.25 0.25 0.5\n0.0 0.0 1.0\n"
+        with pytest.raises(ValueError, match="row 'a' has a non-finite entry"):
+            chain_from_text(text)
+
 
 class TestReachability:
     def test_everything_reaches_dense(self):

@@ -271,6 +271,18 @@ class TestSimulate:
 
 
 class TestExactLaw:
+    def test_non_finite_chain_exits_two(self, tmp_path, capsys):
+        # a NaN entry once passed validation and gave a 2-atom "law" and PASS
+        chain_file = tmp_path / "chain.txt"
+        chain_file.write_text("a b c\nnan 0.5 0.5\n0.25 0.25 0.5\n0.0 0.0 1.0\n")
+        code = main(
+            ["exact-law", "--chain", str(chain_file), "--absorbing", "c", "--length-cap", "5",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "row 'a' has a non-finite entry" in capsys.readouterr().err
+        assert not (tmp_path / "exact_law.txt").exists()
+
     def test_bundled_chain_law(self, tmp_path):
         code = main(["exact-law", "--tol", "1e-9", "--out", str(tmp_path)])
         assert code == 0
@@ -356,6 +368,18 @@ class TestVerifyTheorem1:
         assert Fraction(ce["tv_distance"]) > Fraction(ce["tail_bound_sum"])
         assert read_json(tmp_path / "verify_theorem1.json")["pass"] is False
 
+
+    def test_injected_bug_flag_matches_config_route(self, tmp_path):
+        flag, cfg = tmp_path / "flag", tmp_path / "cfg"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"inject_ple_bug": True, "seed": 3, "max_cases": 20}))
+        assert main(["verify-theorem1", "--config", str(cfgfile), "--out", str(cfg)]) == 1
+        code = main(
+            ["verify-theorem1", "--inject-ple-bug", "--seed", "3", "--max-cases", "20",
+             "--out", str(flag)]
+        )
+        assert code == 1
+        assert (flag / "counterexample.json").read_bytes() == (cfg / "counterexample.json").read_bytes()
 
     def test_injected_counterexample_reproduces(self, tmp_path):
         # the located instance, rebuilt from the file alone, splits the same

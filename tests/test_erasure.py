@@ -11,8 +11,6 @@ from lerw.erasure import (
     algorithm_one,
     algorithm_two,
     concat_paths,
-    detect_long_jumps,
-    detect_loops,
     erase_step,
     loop_erase,
     loop_erase_naive,
@@ -238,29 +236,3 @@ def test_reverse_and_concat():
     assert concat_paths((1,), (1,)) == (1,)
     with pytest.raises(ValueError):
         concat_paths((1, 2), (3, 4))
-
-
-class TestDetectors:
-    dist = staticmethod(lambda a, b: abs(a - b))
-
-    def test_loop_found_beyond_radius(self):
-        w = (0, 3, 0, 1, 0)
-        # first return leaves the 2-ball, later returns inherit the witness;
-        # the (2, 4) return never escapes so it is not a loop at radius 2
-        assert detect_loops(w, 2.0, self.dist) == [(0, 2), (0, 4)]
-
-    def test_small_loop_ignored(self):
-        w = (0, 1, 0)
-        assert detect_loops(w, 2.0, self.dist) == []
-        assert detect_loops(w, 0.5, self.dist) == [(0, 2)]
-
-    def test_long_jump(self):
-        w = (0, 1, 5)
-        assert detect_long_jumps(w, 4.0, avoid=set(), dist=self.dist) == [(0, 2), (1, 2)]
-        # a visited forbidden state cuts the segment
-        assert detect_long_jumps(w, 4.0, avoid={1}, dist=self.dist) == []
-        assert detect_long_jumps((0, 5, 1), 4.0, avoid={1}, dist=self.dist) == [(0, 1)]
-
-    def test_loop_needs_strict_escape(self):
-        w = (0, 2, 0)
-        assert detect_loops(w, 2.0, self.dist) == []

@@ -30,7 +30,6 @@ from lerw.fractal import (
     FractalGraph,
     adjacency_arrays,
     carpet_graph,
-    carpet_traces,
     corner_indices,
     gasket_graph,
     standard_carpet,
@@ -47,15 +46,12 @@ from lerw.limits import (
     hausdorff,
     kernel_convergence,
     lerw_set_law,
-    prokhorov,
-    resistance_metric,
     resistance_scaling,
     set_law_from_text,
     set_law_to_text,
 )
 import lerw.network
 from lerw.network import (
-    build_network,
     effective_resistance,
     hitting_distribution,
     walk_from_network,
@@ -106,81 +102,22 @@ class TestHausdorff:
             assert hausdorff(a, a) == 0.0
             assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
 
-    def test_pluggable_resistance_metric(self):
-        net = build_network([("a", "b", 1), ("b", "c", 1)])
-        d = resistance_metric(net)
-        assert d("a", "c") == pytest.approx(2.0, abs=1e-9)
-        assert hausdorff(["a"], ["c"], metric=d) == pytest.approx(2.0, abs=1e-9)
-        assert hausdorff(["a", "b"], ["b", "c"], metric=d) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("which", ["gasket-2", "carpet-trace-5"])
-    def test_resistance_metric_matches_effective_resistance(self, which):
-        # the grounded dense solve against the sparse Dirichlet solve, on
-        # every pair; the carpet trace is the 4-corner network of level 5
-        if which == "gasket-2":
-            net = uniform_network(gasket_graph(2), "double")
-        else:
-            net = carpet_traces(standard_carpet(), [5])[5]
-        d = resistance_metric(net)
-        pairs = [(p, q) for p in net.vertices for q in net.vertices if p != q]
-        assert len(pairs) == (210 if which == "gasket-2" else 12)
-        for p, q in pairs:
-            assert d(p, q) == pytest.approx(effective_resistance(net, p, q), rel=1e-12, abs=0), (p, q)
-        assert d(net.vertices[0], net.vertices[0]) == 0.0
-
-
-K00 = (((0, 0),),)
 ORIGIN = ((0, 0),)
-
-
-class TestProkhorov:
-    def test_identical_law_is_zero(self):
-        lw = law("carpet", 1, {ORIGIN: 3, ((1, 0), (1, 1)): 2})
-        assert prokhorov(lw, lw) == 0.0
-
-    def test_far_diracs_saturate_at_one(self):
-        a = law("carpet", 1, {ORIGIN: 1})
-        b = law("carpet", 1, {((3, 4),): 1})
-        assert prokhorov(a, b) == pytest.approx(1.0, abs=2e-6)
-
-    def test_close_diracs_give_distance(self):
-        # atoms 0.25 apart in the embedding -> min(d_H, 1) = 0.25
-        a = law("carpet", 4, {ORIGIN: 5})
-        b = law("carpet", 4, {((1, 0),): 7})
-        assert prokhorov(a, b) == pytest.approx(0.25, abs=2e-6)
-
-    def test_moved_atom_mixture(self):
-        far = ((8, 8),)
-        a = law("carpet", 4, {ORIGIN: 1, far: 1})
-        b = law("carpet", 4, {((1, 0),): 1, far: 1})
-        d = prokhorov(a, b)
-        assert d <= 0.25 + 2e-6
-        assert d == pytest.approx(0.25, abs=2e-6)
-
-    def test_symmetry_and_bounds_fuzz(self):
-        rng = Random(77)
-        for _ in range(8):
-            def rand_law():
-                atoms = {}
-                for _ in range(rng.randint(1, 4)):
-                    key = tuple(
-                        sorted(
-                            {(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 3))}
-                        )
-                    )
-                    atoms[key] = atoms.get(key, 0) + rng.randint(1, 5)
-                return law("carpet", 2, atoms)
-
-            a, b = rand_law(), rand_law()
-            d = prokhorov(a, b)
-            assert d == prokhorov(b, a)
-            assert 0.0 <= d <= 1.0
 
 
 class TestEmpiricalSetLaw:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             EmpiricalSetLaw("carpet", 1, {ORIGIN: 2}, 3)
+
+    def test_counts_must_be_positive_ints(self):
+        # the counts sum to the header's total, so only the count check catches it
+        with pytest.raises(ValueError, match="not a positive int"):
+            set_law_from_text("# carpet 1 2\n3\t0,0\n-1\t1,1\n")
+        for count in (0, 1.0, True):
+            with pytest.raises(ValueError, match="not a positive int"):
+                EmpiricalSetLaw("carpet", 1, {ORIGIN: 3, ((1, 1),): count}, 3 + count)
 
     def test_text_roundtrip(self):
         lw = law("gasket", 4, {((0, 0), (1, 2)): 3, ((2, 2),): 1})
