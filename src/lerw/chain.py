@@ -14,8 +14,8 @@ chain walk) in uniform blocks that grow from WALK_BLOCK_FIRST to
 WALK_BLOCK_MAX, so a short walk draws few uniforms it does not use, and
 `_walk_many` steps a pool of fractal graph walks from `limits` in
 lockstep, two steps per gather through a table of cell pairs in which
-targets absorb, drops finished walkers from the pool once no trajectory
-is left to start, and hands its last few walkers to `_walk`.  A stream's
+targets absorb, and drops finished walkers from the pool once no
+trajectory is left to start, until the last walker ends.  A stream's
 uniforms come out in order whatever the block sizes, so a trajectory is
 the same bit for bit in either loop.
 """
@@ -35,15 +35,13 @@ import numpy as np
 STEP_CAP = 10_000_000
 SUM_TOL = 1e-12
 # _walk_many: walkers stepped together, uniforms drawn per walker per
-# round (even: two steps per gather), the pool size below which the last
-# walkers finish in _walk, and the rounds of steps a walker's piece
-# collects before it is copied out.  The pool holds every live walker's
-# partial path: on carpet m3 (1800 walks), 128 walkers raised peak RSS by
-# 1.3 MB over 64 and cut the sampling time by about 6%; 192 and 256
-# raised it by 2.6 and 3.9 MB for about 2% more.
+# round (even: two steps per gather), and the rounds of steps a walker's
+# piece collects before it is copied out.  The pool holds every live
+# walker's partial path: on carpet m3 (1800 walks), 128 walkers raised
+# peak RSS by 1.3 MB over 64 and cut the sampling time by about 6%; 192
+# and 256 raised it by 2.6 and 3.9 MB for about 2% more.
 LOCKSTEP_POOL = 128
 LOCKSTEP_BLOCK = 256
-LOCKSTEP_TAIL = 8
 LOCKSTEP_FLUSH = 4
 # _walk: uniforms drawn in the first block, doubling per block up to the
 # last size.  Corner walks on gasket m3 and carpet m2 average 123 and 167
@@ -310,8 +308,8 @@ def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap:
 
     Row v steps to nbrs[v][bisect_right(cums[v], u)] for a uniform u.  The
     path keeps both endpoints; step_cap steps without entry raise
-    StepCapExceeded.  Chain walks run this loop, and so do the last
-    walkers of `_walk_many`.  Uniforms are drawn in blocks of
+    StepCapExceeded.  Chain walks run this loop; graph walks run
+    `_walk_many`.  Uniforms are drawn in blocks of
     WALK_BLOCK_FIRST, doubling up to WALK_BLOCK_MAX, and never past the
     step cap.
     """
@@ -404,13 +402,12 @@ def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, 
     has entered this round iff its last vertex is a target, and only
     those walkers are searched for their first entry.  A finished
     walker's slot goes to the next index; once no index is left, its row
-    is dropped from the pool, and when fewer than LOCKSTEP_TAIL walkers
-    remain, each finishes in `_walk` from its current vertex with the
-    rest of its stream and of its step cap.  Vertices are written to a
-    buffer of LOCKSTEP_FLUSH rounds, and a walker's path is kept as
-    ragged pieces copied out of it.  StepCapExceeded is raised as soon as
-    any walker runs out of steps.  start must not be a target (as the
-    targets absorb, its walks would never leave it).
+    is dropped from the pool, so the pool shrinks until the last walker
+    ends.  Vertices are written to a buffer of LOCKSTEP_FLUSH rounds, and
+    a walker's path is kept as ragged pieces copied out of it.
+    StepCapExceeded is raised as soon as any walker runs out of steps.
+    start must not be a target (as the targets absorb, its walks would
+    never leave it).
     """
     if count <= 0:
         return
@@ -439,7 +436,7 @@ def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, 
     left = np.full(size, step_cap, dtype=np.int64)
     nxt = size
     pool = 0
-    while nxt < count or len(ids) >= max(LOCKSTEP_TAIL, 1):
+    while ids:
         if len(ids) != pool:  # (re)hoist the views for the step loop
             pool = len(ids)
             us, cells, above = us_all[:pool], cells_all[:pool], above_all[:pool]
@@ -494,13 +491,6 @@ def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, 
             ids, rngs, pieces = ([x[r] for r in keep] for x in (ids, rngs, pieces))
             at_all[0, : len(keep)] = at[0, keep]
             left = left[keep]
-    for r in range(len(ids)):
-        try:
-            rest = _walk(nbrs, cums, int(at_all[0, r]) >> shift, is_target, rngs[r], int(left[r]))
-        except StepCapExceeded:  # name the walk's cap, not what was left of it
-            raise StepCapExceeded(f"no entry into targets within {step_cap} steps") from None
-        pieces[r].append(np.array(rest[1:], dtype=head.dtype))
-        yield ids[r], np.concatenate(pieces[r])
 
 
 def sample_until_entry(

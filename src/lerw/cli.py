@@ -334,7 +334,7 @@ def _parse_level_range(text) -> list:
     if isinstance(text, int):
         return [text]
     if isinstance(text, list):
-        return [int(v) for v in text]
+        return sorted({int(v) for v in text})
     s = str(text)
     try:
         if ".." in s:
@@ -748,8 +748,17 @@ def _equality_cases(chain: MarkovChain, rng: Random, max_cases: int) -> list:
     return cases[:max_cases]
 
 
+def _count(cfg: dict, key: str) -> int:
+    """cfg[key] as an instance count; a negative count raises UsageError."""
+    n = int(cfg[key])
+    if n < 0:
+        raise UsageError(f"--{key.replace('_', '-')} must not be negative, got {n}")
+    return n
+
+
 def _cmd_verify_theorem1(cfg: dict) -> int:
-    fuzzing = int(cfg["chains"]) > 0 and cfg.get("chain") is None
+    n_chains = _count(cfg, "chains")
+    fuzzing = n_chains > 0 and cfg.get("chain") is None
     max_cases = int(cfg["max_cases"])
     if max_cases < 1:
         raise UsageError(f"--max-cases must be at least 1, got {max_cases}")
@@ -765,7 +774,7 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     if cfg.get("chain") is not None:
         chains = [_load_chain(cfg)]
     elif fuzzing:
-        chains = [dense_chain(rng, rng.randint(3, states_max)) for _ in range(int(cfg["chains"]))]
+        chains = [dense_chain(rng, rng.randint(3, states_max)) for _ in range(n_chains)]
     else:
         chains = [bundled_chain()]
 
@@ -836,13 +845,16 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
 
 
 def _cmd_verify_green(cfg: dict) -> int:
+    identities, perms = _count(cfg, "identities"), _count(cfg, "permutations")
+    if identities == perms == 0:
+        raise UsageError("--identities and --permutations are both 0: nothing to check")
     out = _out_dir(cfg)
     seed = _resolve_seed(cfg, announce=True)
     rng = Random(seed)
     counterexample = None
 
     identity_ok = True
-    for i in range(int(cfg["identities"])):
+    for i in range(identities):
         chain = dense_chain(rng, rng.randint(3, 5))
         states = list(chain.states)
         b = frozenset(rng.sample(states, rng.randint(2, len(states) - 1)))
@@ -866,7 +878,7 @@ def _cmd_verify_green(cfg: dict) -> int:
 
     permutation_ok = True
     if identity_ok:
-        for i in range(int(cfg["permutations"])):
+        for i in range(perms):
             chain = dense_chain(rng, rng.randint(4, 5))
             states = list(chain.states)
             b = frozenset(rng.sample(states, rng.randint(3, len(states) - 1)))
@@ -887,13 +899,10 @@ def _cmd_verify_green(cfg: dict) -> int:
 
     checks = {"green_identity": identity_ok, "product_permutation_invariance": permutation_ok}
     results = {
-        "identity_instances": int(cfg["identities"]),
-        "permutation_instances": int(cfg["permutations"]),
+        "identity_instances": identities,
+        "permutation_instances": perms,
     }
-    print(
-        f"verify-green: {cfg['identities']} identity and"
-        f" {cfg['permutations']} permutation instances"
-    )
+    print(f"verify-green: {identities} identity and {perms} permutation instances")
     return _finish(
         "verify-green", cfg, out, results, checks, files={},
         counterexample=counterexample,

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import ElectricalNetwork, _dense_trace, trace_network
+from .network import ElectricalNetwork, _dense_trace
 
 MAX_VERTICES = 5_000_000
 # points of the largest dense Laplacian one carpet glue may hold: 512 MB
@@ -402,14 +402,15 @@ def graph_to_text(graph: FractalGraph) -> tuple:
     return "\n".join(vlines) + "\n", "\n".join(elines) + "\n"
 
 
-def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corners", mode: str = "double") -> dict:
+def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corners") -> dict:
     """Each carpet level's unit network traced onto a few of its points,
     without building the graph.
 
     keep="corners" keeps the four outer corners, in `corner_indices`
     order; keep="cells" keeps the corners of the level-1 cells (V_1,
     levels >= 1), sorted.  Returns {m: ElectricalNetwork} for each m in
-    levels; the vertices are the kept points as grid pairs over k^m.
+    levels; the vertices are the kept points as grid pairs over k^m, and
+    the conductances are doubles.
 
     Traces compose (the compatible networks of Kigami, *Analysis on
     Fractals*, ch. 2).  Let T_j be the level-j network, with conductance
@@ -424,20 +425,19 @@ def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corne
     T_0..T_{M-1} are built once per call, in increasing order, and level
     m is read off one last glue of copies of T_{m-1}.
 
-    Each glue eliminates every point it does not keep: the points in one
-    copy only inside that copy first, then the front the copies share.
-    Double mode does so on dense Laplacians (`network._dense_trace`),
-    rational mode exactly (`trace_network`), so rational values are ==
-    those of the whole graph.  A glue whose dense front would exceed
-    MAX_DENSE_FRONT points raises ValueError before anything is built.
+    Each glue eliminates every point it does not keep, on dense
+    Laplacians (`network._dense_trace`): the points in one copy only
+    inside that copy first, then the front the copies share.  A glue
+    whose dense front would exceed MAX_DENSE_FRONT points raises
+    ValueError before anything is built.  There is no rational mode:
+    exact values come from tracing the whole graph, which is faster, as
+    exact dense fronts fill with big integers (`limits.resistance_scaling`).
     """
     bad = validate_carpet_template(template)
     if bad:
         raise ValueError("invalid carpet template: " + "; ".join(bad))
     if keep not in ("corners", "cells"):
         raise ValueError(f"unknown kept set {keep!r}")
-    if mode not in ("rational", "double"):
-        raise ValueError(f"unknown mode {mode!r}")
     ms = sorted(set(levels))
     lowest = 1 if keep == "cells" else 0
     if not ms or ms[0] < lowest:
@@ -455,16 +455,15 @@ def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corne
             f"carpet level {ms[-1]} needs a dense front of {size} points"
             f" ({8 * size**2 / 1e9:.1f} GB), above the {MAX_DENSE_FRONT} cap"
         )
-    half = 0.5 if mode == "double" else Fraction(1, 2)
-    lap = np.zeros((4, 4), dtype=float if mode == "double" else object)
+    lap = np.zeros((4, 4))
     ring = np.arange(4)
-    _add_edges(lap, ring, (ring + 1) % 4, half)  # T_0
+    _add_edges(lap, ring, (ring + 1) % 4, 0.5)  # T_0
     out = {}
     for m in range(ms[-1] + 1):
         if m in lasts:
-            out[m] = lasts[m].network(lasts[m].run(lap, mode), mode)
+            out[m] = lasts[m].network(lasts[m].run(lap))
         if 1 <= m < ms[-1]:
-            lap = builds[m - 1].run(lap, mode)  # T_m from T_{m-1}
+            lap = builds[m - 1].run(lap)  # T_m from T_{m-1}
     return out
 
 
@@ -566,51 +565,36 @@ class _CarpetGlue:
         pts = np.union1d(lo, hi)
         return pts, np.searchsorted(pts, lo), np.searchsorted(pts, hi)
 
-    def run(self, lap: np.ndarray, mode: str) -> np.ndarray:
+    def run(self, lap: np.ndarray) -> np.ndarray:
         """The Laplacian on the kept points, in keep order, of copies of
         the boundary-trace Laplacian lap glued.
 
         Each copy (with its second halves) is traced inside itself onto
         its points that are kept or shared, and added into the glued
         Laplacian on those points, which is then traced onto the kept
-        ones: dense in double mode, exactly in rational mode."""
-        double = mode == "double"
-        half = 0.5 if double else Fraction(1, 2)
-        trace = _dense_trace if double else _exact_trace
-        blocks = [(ids, lap, a, b, half) for ids, (a, b) in zip(self.copies, self.tops)]
+        ones."""
+        blocks = [(ids, lap, a, b, 0.5) for ids, (a, b) in zip(self.copies, self.tops)]
         if self.extra is not None:
             ids, a, b = self.extra
-            blocks.append((ids, np.zeros((len(ids), len(ids)), dtype=lap.dtype), a, b, 2 * half))
+            blocks.append((ids, np.zeros((len(ids), len(ids))), a, b, 1.0))
         order = np.concatenate([self.front, self.keep])
         pos = np.full(self.n, -1)
         pos[order] = np.arange(len(order))
-        glued = np.zeros((len(order), len(order)), dtype=lap.dtype)
+        glued = np.zeros((len(order), len(order)))
         for ids, base, a, b, c in blocks:
             block = base.copy()
             _add_edges(block, a, b, c)
             private = pos[ids] < 0
             if private.any():
                 first = np.argsort(~private, kind="stable")
-                block = trace(block[np.ix_(first, first)], int(private.sum()))
+                block = _dense_trace(block[np.ix_(first, first)], int(private.sum()))
                 ids = ids[first[private.sum():]]
             p = pos[ids]
             glued[np.ix_(p, p)] += block
-        return trace(glued, len(self.front))
+        return _dense_trace(glued, len(self.front))
 
-    def network(self, lap: np.ndarray, mode: str) -> ElectricalNetwork:
+    def network(self, lap: np.ndarray) -> ElectricalNetwork:
         """The kept points, as grid pairs, joined by the conductances of lap."""
         i, j = np.nonzero(np.triu(lap != 0, 1))
         vertices = map(tuple, self.points[self.keep].tolist())
-        return ElectricalNetwork._from_arrays(vertices, np.column_stack([i, j]), -lap[i, j], mode)
-
-
-def _exact_trace(lap: np.ndarray, nf: int) -> np.ndarray:
-    """The rational Laplacian lap (an object array) traced onto its
-    positions after the first nf, by `trace_network`."""
-    i, j = np.nonzero(np.triu(lap != 0, 1))
-    net = ElectricalNetwork._from_arrays(range(len(lap)), np.column_stack([i, j]), -lap[i, j], "rational")
-    traced = trace_network(net, range(nf, len(lap)))
-    out = np.zeros((len(lap) - nf, len(lap) - nf), dtype=object)
-    a, b = (np.asarray(traced.vertices)[traced._ends] - nf).T
-    _add_edges(out, a, b, np.array(traced._values, dtype=object))
-    return out
+        return ElectricalNetwork._from_arrays(vertices, np.column_stack([i, j]), -lap[i, j], "double")

@@ -3,8 +3,7 @@
 Sampling is reproducible by construction: trajectory i always uses the
 counter-based stream keyed (master_seed, i), so aggregation is
 order-independent.  Graph walks run through `chain._walk_many`, which
-steps a pool of them in lockstep and hands its last few walkers to
-`chain._walk`, the loop that draws chain trajectories.  Results are
+steps a pool of them in lockstep until the last one ends.  Results are
 stored by trajectory index, so the order in which walks finish does not
 matter.
 """
@@ -257,6 +256,15 @@ def _check_corner(kind: str, corners: tuple, c: int):
         )
 
 
+def _distinct_levels(levels: Iterable) -> list:
+    """The levels sorted; a level given twice raises ValueError."""
+    ms = sorted(levels)
+    for a, b in zip(ms, ms[1:]):
+        if a == b:
+            raise ValueError(f"level {a} is repeated")
+    return ms
+
+
 def aitken_limit(seq):
     """Aitken's delta-squared limit from the last three terms of `seq`.
 
@@ -296,15 +304,18 @@ def resistance_scaling(
 
     Each level is traced once onto its corners; a trace keeps every
     effective resistance among the kept vertices, so each pair is read
-    off the small traced network. Carpet levels come from
+    off the small traced network. Double carpet levels come from
     `fractal.carpet_traces`, which glues boundary traces of the level
     below and never builds the graph (so levels past MAX_VERTICES are
-    in reach); gasket levels build the graph and trace it onto the
-    corners the probes use. Rational values are exact. Corner indices
-    outside the graph's corners, pairs of one corner with itself and an
-    empty pair list raise ValueError.
+    in reach). Gasket levels and rational carpet levels build the graph
+    and trace it onto the corners the probes use, so rational values
+    are exact. A repeated level, corner indices outside the graph's
+    corners, pairs of one corner with itself, an empty pair list and an
+    unknown mode raise ValueError, before any level is built.
     """
-    ms = sorted(m_values)
+    if mode not in ("rational", "double"):
+        raise ValueError(f"unknown mode {mode!r}")
+    ms = _distinct_levels(m_values)
     if not ms:
         raise ValueError("need at least one level")
     if pairs is not None:
@@ -319,12 +330,13 @@ def resistance_scaling(
     used = sorted({c for pair in probe for c in pair})
     for c in used:
         _check_corner(kind, range(count), c)
-    if kind == "carpet":
-        carpets = carpet_traces(_carpet_template(template), ms, "corners", mode)
+    glued = kind == "carpet" and mode == "double"
+    if glued:
+        carpets = carpet_traces(_carpet_template(template), ms, "corners")
     rows = []
     per_pair: dict = {}
     for m in ms:
-        if kind == "carpet":
+        if glued:
             traced = carpets[m]
             corners = traced.vertices
             xy = np.array(corners) / base**m
@@ -389,10 +401,10 @@ def kernel_convergence(
     traces come from `fractal.carpet_traces`, which keeps V_1 (the
     corners of the level-1 cells) off glued boundary traces and never
     builds a graph above level 1. The gasket, and carpets with m >= 2,
-    build each level's graph and trace it. A killing corner index
-    outside the graph's corners raises ValueError.
+    build each level's graph and trace it. A repeated level, or a
+    killing corner index outside the graph's corners, raises ValueError.
     """
-    mps = sorted(m_primes)
+    mps = _distinct_levels(m_primes)
     if not mps or mps[0] < m:
         raise ValueError("need levels m' >= m")
     base = _family_graph(kind, m, template)

@@ -76,6 +76,21 @@ class TestResist:
         assert all(a is None for a in got["aitken_limit"].values())
         assert all(len(ds) == 1 and isinstance(ds[0], float) for ds in got["ratio_differences"].values())
 
+    def test_config_level_list_is_sorted_and_deduplicated(self, tmp_path, capsys):
+        # unsorted, [3, 1, 2] would give ratio rows 3->1 and 1->2 and "levels 3..2"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"m": [3, 1, 2, 1]}))
+        out = tmp_path / "out"
+        code = main(
+            ["resist", "--gasket", "--mode", "rational", "--config", str(cfgfile),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert "resist: gasket levels 1..3 " in capsys.readouterr().out
+        assert read_json(out / "resist.json")["results"]["levels"] == [1, 2, 3]
+        rows = list(csv.reader((out / "resist_ratios.csv").read_text().splitlines()[2:]))
+        assert [(lo, hi, ratio) for _, lo, hi, ratio in rows] == [("1", "2", "5/3"), ("2", "3", "5/3")] * 3
+
     def test_carpet_band_violation_exits_one(self, tmp_path):
         code = main(
             ["resist", "--carpet", "standard", "-m", "1..3",
@@ -344,6 +359,14 @@ class TestVerifyTheorem1:
         assert f"--max-cases must be at least 1, got {cases}" in capsys.readouterr().err
         assert not (tmp_path / "verify_theorem1.json").exists()
 
+    def test_negative_chain_count_exits_two(self, tmp_path, capsys):
+        # -2 would check the bundled chain without a word
+        out = tmp_path / "out"
+        code = main(["verify-theorem1", "--chains", "-2", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "--chains must not be negative, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("states_max", ["2", "0", "6"])
     def test_states_max_outside_range_exits_two(self, tmp_path, capsys, states_max):
         code = main(
@@ -409,6 +432,33 @@ class TestVerifyGreen:
             "green_identity": True,
             "product_permutation_invariance": True,
         }
+
+    @pytest.mark.parametrize(
+        "identities, permutations, message",
+        [
+            ("-3", "0", "--identities must not be negative, got -3"),
+            ("5", "-1", "--permutations must not be negative, got -1"),
+            ("0", "0", "--identities and --permutations are both 0: nothing to check"),
+        ],
+    )
+    def test_vacuous_counts_exit_two(self, tmp_path, capsys, identities, permutations, message):
+        # each would pass with no instance checked
+        out = tmp_path / "out"
+        code = main(
+            ["verify-green", "--identities", identities, "--permutations", permutations,
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_zero_count_still_runs(self, tmp_path):
+        code = main(
+            ["verify-green", "--identities", "0", "--permutations", "2", "--seed", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert read_json(tmp_path / "verify_green.json")["results"]["identity_instances"] == 0
 
 
 class TestConfigPlumbing:

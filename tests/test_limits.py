@@ -20,7 +20,6 @@ import lerw.limits
 from lerw.chain import (
     LOCKSTEP_BLOCK,
     LOCKSTEP_POOL,
-    LOCKSTEP_TAIL,
     StepCapExceeded,
     sample_until_entry,
     trajectory_stream,
@@ -141,14 +140,9 @@ def family_graph(kind, m):
 
 class TestGraphWalks:
     @pytest.mark.parametrize(
-        "kind, m, serial_tail",
-        [
-            pytest.param("gasket", 2, False, id="gasket-2"),
-            pytest.param("carpet", 1, False, id="carpet-1"),
-            pytest.param("carpet", 2, True, id="carpet-2"),
-        ],
+        "kind, m", [("gasket", 2), ("carpet", 1), ("carpet", 2)], ids=["gasket-2", "carpet-1", "carpet-2"]
     )
-    def test_graph_walks_equal_chain_walks(self, kind, m, serial_tail, monkeypatch):
+    def test_graph_walks_equal_chain_walks(self, kind, m, monkeypatch):
         # a graph walk is the walk chain of the graph's unit network,
         # drawn from the same uniforms; 300 walks refill the pool's slots
         g = family_graph(kind, m)
@@ -158,14 +152,7 @@ class TestGraphWalks:
         expected = [
             sample_until_entry(chain, c[0], [c[-1]], trajectory_stream(41, i)) for i in range(count)
         ]
-        tails = []
-        walk = lerw.chain._walk
-
-        def spy(nbrs, cums, start, is_target, rng, step_cap):
-            tails.append(start)
-            return walk(nbrs, cums, start, is_target, rng, step_cap)
-
-        monkeypatch.setattr(lerw.chain, "_walk", spy)
+        monkeypatch.setattr(lerw.chain, "_walk", None)  # every walker ends in lockstep
         walks = dict(_graph_walks(WalkConfig(g, 41), c[0], [c[-1]], count))
         assert sorted(walks) == list(range(count))
         for i in range(count):
@@ -173,9 +160,19 @@ class TestGraphWalks:
         steps = [len(w) - 1 for w in expected]
         # walks that end in the first block and walks that cross blocks
         assert min(steps) < LOCKSTEP_BLOCK < max(steps)
-        # on carpet m2 the last few walkers finish serially, from wherever
-        # they stand; shorter walks all finish in lockstep
-        assert (len(tails) > 0) == serial_tail and len(tails) < LOCKSTEP_TAIL
+
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_few_graph_walks_equal_chain_walks(self, count, monkeypatch):
+        # a pool smaller than LOCKSTEP_POOL from the start, which shrinks
+        # to its last walker in lockstep
+        expected = carpet2_chain_walks(41, count)
+        g = family_graph("carpet", 2)
+        c = corner_indices(g)
+        monkeypatch.setattr(lerw.chain, "_walk", None)
+        walks = dict(_graph_walks(WalkConfig(g, 41), c[0], [c[-1]], count))
+        assert sorted(walks) == list(range(count))
+        for i in range(count):
+            assert tuple(walks[i].tolist()) == expected[i], i
 
     def test_step_cap_is_exact(self):
         g = carpet_graph(standard_carpet(), 1)
@@ -254,40 +251,29 @@ class TestPoolWidth:
         c = corner_indices(g)
         count = 300
         expected = carpet2_chain_walks(41, count)
-        tails = []
-        walk = lerw.chain._walk
-
-        def spy(nbrs, cums, start, is_target, rng, step_cap):
-            tails.append(start)
-            return walk(nbrs, cums, start, is_target, rng, step_cap)
-
         monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", pool)
-        monkeypatch.setattr(lerw.chain, "_walk", spy)
+        # count - pool walks finish into a refilled slot; the other pool
+        # finish in lockstep after the last index started, each dropping
+        # its row from the pool
+        monkeypatch.setattr(lerw.chain, "_walk", None)
         walks = dict(_graph_walks(WalkConfig(g, 41), c[0], [c[-1]], count))
         assert sorted(walks) == list(range(count))
         for i in range(count):
             assert tuple(walks[i].tolist()) == expected[i], i
-        # count - pool walks finish into a refilled slot and len(tails) in
-        # _walk; the other pool - len(tails) finish in lockstep after the
-        # last index started, each dropping its row from the pool
-        if pool >= LOCKSTEP_TAIL:
-            assert len(tails) < LOCKSTEP_TAIL
-        else:
-            assert len(tails) == pool
 
     def test_step_cap_mid_block_after_rows_were_dropped(self, monkeypatch):
         # every index starts at once, so each walk that ends drops its
-        # row; the cap then falls inside a block while more than
-        # LOCKSTEP_TAIL walkers are still in lockstep
+        # row; the cap then falls inside a block while ten walkers or
+        # more are still in the pool
         g = family_graph("carpet", 2)
         c = corner_indices(g)
         count = 128
         expected = carpet2_chain_walks(41, count)
         steps = [len(w) - 1 for w in expected]
-        cap = sorted(steps)[-(LOCKSTEP_TAIL + 2)]
+        cap = sorted(steps)[-10]
         done = cap - 1 - (cap - 1) % LOCKSTEP_BLOCK  # steps made before the cap's block
         assert cap % LOCKSTEP_BLOCK and done > 0
-        assert sum(s > done for s in steps) > LOCKSTEP_TAIL
+        assert sum(s > done for s in steps) >= 10
         monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", count)
         monkeypatch.setattr(lerw.chain, "_walk", None)  # never reached
         got = {}
@@ -298,32 +284,24 @@ class TestPoolWidth:
         for i, w in got.items():
             assert tuple(w.tolist()) == expected[i], i
 
-    def test_step_cap_in_the_serial_tail_names_the_cap(self, monkeypatch):
+    def test_step_cap_of_the_last_walker_names_the_cap(self, monkeypatch):
         # only the longest walk outlives the cap, after the others have
-        # left the pool, so it runs out of steps in _walk
+        # left the pool, so it runs out of steps alone in the pool
         g = family_graph("carpet", 2)
         c = corner_indices(g)
         count = 128
-        steps = sorted(len(w) - 1 for w in carpet2_chain_walks(41, count))
-        cap = steps[-1] - 1
+        expected = carpet2_chain_walks(41, count)
+        steps = [len(w) - 1 for w in expected]
+        cap = max(steps) - 1
         done = cap - 1 - (cap - 1) % LOCKSTEP_BLOCK  # steps made before the cap's block
-        assert steps[-2] <= cap and sum(s > done for s in steps) < LOCKSTEP_TAIL
-        raised = []
-        walk = lerw.chain._walk
-
-        def spy(nbrs, cums, start, is_target, rng, step_cap):
-            try:
-                return walk(nbrs, cums, start, is_target, rng, step_cap)
-            except StepCapExceeded:
-                raised.append(step_cap)
-                raise
-
+        assert sum(s > done for s in steps) == 1
         monkeypatch.setattr(lerw.chain, "LOCKSTEP_POOL", count)
-        monkeypatch.setattr(lerw.chain, "_walk", spy)
-        walks = _graph_walks(WalkConfig(g, 41, step_cap=cap), c[0], [c[-1]], count)
+        monkeypatch.setattr(lerw.chain, "_walk", None)
+        got = {}
         with pytest.raises(StepCapExceeded, match=f"within {cap} steps"):
-            dict(walks)
-        assert len(raised) == 1 and raised[0] < cap
+            for i, w in _graph_walks(WalkConfig(g, 41, step_cap=cap), c[0], [c[-1]], count):
+                got[i] = w
+        assert sorted(got) == [i for i, s in enumerate(steps) if s <= cap]
 
     def test_coupled_distances_are_byte_equal_at_any_pool_width(self, monkeypatch):
         g = family_graph("carpet", 2)
@@ -592,6 +570,18 @@ class TestResistanceScaling:
         with pytest.raises(ValueError):
             resistance_scaling("gasket", [])
 
+    def test_unknown_mode_is_named_before_any_build(self):
+        # carpet level 9 is past MAX_VERTICES, so a build would fail first
+        with pytest.raises(ValueError, match="unknown mode 'float'"):
+            resistance_scaling("carpet", [9], template=standard_carpet(), mode="float")
+
+    def test_repeated_levels_are_named(self):
+        # a repeated level would give a ratio of exactly 1
+        for kind in ("gasket", "carpet"):
+            for mode in ("rational", "double"):
+                with pytest.raises(ValueError, match="level 1 is repeated"):
+                    resistance_scaling(kind, [2, 1, 1], template=standard_carpet(), mode=mode)
+
     @pytest.mark.parametrize(
         "kind, levels, single",
         [("gasket", range(4), (0, 2)), ("carpet", (1, 2), (0, 3))],
@@ -625,9 +615,9 @@ class TestResistanceScaling:
                 assert abs(r["resistance"] - want) <= 1e-12 * want
 
     def test_carpet_levels_build_and_factor_no_graph(self, monkeypatch):
-        # carpet resistances and V_1 kernels come from glued boundary
-        # traces: no graph above level 1 is built, and the only sparse
-        # solves are on the traced networks of four corners
+        # double carpet resistances and V_1 kernels come from glued
+        # boundary traces: no graph above level 1 is built, and the only
+        # sparse solves are on the traced networks of four corners
         levels, sizes = [], []
         build, solve = lerw.fractal.carpet_graph, lerw.network._solve_block
 
@@ -643,8 +633,7 @@ class TestResistanceScaling:
             monkeypatch.setattr(module, "carpet_graph", built)
         monkeypatch.setattr(lerw.network, "_solve_block", solved)
         template = standard_carpet()
-        for mode in ("double", "rational"):
-            resistance_scaling("carpet", (1, 2, 3), template=template, mode=mode)
+        resistance_scaling("carpet", (1, 2, 3), template=template)
         kernel_convergence("carpet", 1, 0, [1, 2, 3], template=template)
         assert max(levels) == 1 and set(sizes) == {4}
         # the spies do see the inputs that still trace whole graphs
@@ -652,6 +641,9 @@ class TestResistanceScaling:
         resistance_scaling("gasket", (3,))
         assert levels[-2:] == [2, 3]
         assert sizes[-5:] == [carpet_graph(template, 3).n, gasket_graph(3).n, 3, 3, 3]
+        # rational carpet levels build their graphs and trace them exactly
+        resistance_scaling("carpet", (1, 2, 3), template=template, mode="rational")
+        assert levels[-3:] == [1, 2, 3]
 
     @pytest.mark.parametrize(
         "kind, pairs, match",
@@ -712,6 +704,12 @@ class TestKernelConvergence:
     def test_levels_below_m_rejected(self):
         with pytest.raises(ValueError):
             kernel_convergence("gasket", 2, 0, [1])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_repeated_levels_are_named(self, m):
+        # a repeated level would give a pair (2, 2) with max_diff 0.0
+        with pytest.raises(ValueError, match="level 2 is repeated"):
+            kernel_convergence("carpet", m, 0, [3, 2, 2], template=standard_carpet())
 
     @pytest.mark.parametrize(
         "kind, y_corners, m_primes",
