@@ -15,9 +15,12 @@ WALK_BLOCK_MAX, so a short walk draws few uniforms it does not use, and
 `_walk_many` steps a pool of fractal graph walks from `limits` in
 lockstep, two steps per gather through a table of cell pairs in which
 targets absorb, and drops finished walkers from the pool once no
-trajectory is left to start, until the last walker ends.  A stream's
-uniforms come out in order whatever the block sizes, so a trajectory is
-the same bit for bit in either loop.
+trajectory is left to start, until the last walker ends.  It reads a
+graph from its CSR arrays (indptr, nbr): nbrs[v] is
+nbr[indptr[v]:indptr[v + 1]] and cums[v] is `_cum_row` of weights
+1/deg, and its paths come out as np.intp arrays.  A stream's uniforms
+come out in order whatever the block sizes, so a trajectory is the same
+bit for bit in either loop.
 """
 
 from __future__ import annotations
@@ -333,69 +336,57 @@ def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap:
     raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
 
 
-def _step_table(nbrs, cums) -> tuple:
-    """(merged, table) so that one gather makes one step of every row.
-
-    merged is the sorted union of the rows' cumulative lists, and
-    k = searchsorted(merged, u, side="right") puts each u in [0, 1) into
-    one of len(merged) cells (the last list entry is 1.0).  A row's
-    cumulative list is a subset of merged, so bisect_right(cums[v], u) is
-    constant on each cell, and
-    table[v * len(merged) + k] = len(merged) * nbrs[v][bisect_right(cums[v], u)]
-    exactly.  Entries are premultiplied so the next lookup is one addition.
-    """
-    merged = sorted({c for row in cums for c in row})
-    width = len(merged)
-    lows = [0.0, *merged[:-1]]  # the left end of each cell
-    picks: dict = {}  # rows of equal degree share one cumulative list
-    rows = []
-    for v, (js, cs) in enumerate(zip(nbrs, cums)):
-        if not js:  # an isolated vertex is never entered; park it on itself
-            rows.append([v] * width)
-            continue
-        cols = picks.get(id(cs))
-        if cols is None:
-            cols = picks[id(cs)] = [bisect_right(cs, u) for u in lows]
-        rows.append([js[c] for c in cols])
-    table = np.array(rows, dtype=np.intp).reshape(-1) * width
-    return np.array(merged), table
-
-
 def _vertex_dtype(n: int):
     return np.uint16 if n <= 1 << 16 else np.int32
 
 
-def _pair_table(nbrs, cums, flags) -> tuple:
+def _pair_table(indptr, nbr, flags) -> tuple:
     """(cuts, width, shift, pair, mid): two steps of every row per gather.
 
-    A uniform u in [0, 1) lies in cell k = (cuts <= u).sum() of
-    `_step_table`'s width cells; cuts are its cell edges below 1.0.
-    Flagged rows are made absorbing (every cell stays put), so a walk
-    that has entered one is still on it after any further steps.  Each
-    row here has 2**shift >= width**2 entries: entry
+    indptr and nbr are a graph's CSR arrays (each row's neighbours
+    sorted), and a row of degree d steps to its neighbour
+    bisect_right(_cum_row(np.full(d, 1.0) / d), u) for a uniform u, as
+    `_walk` steps the graph's walk chain.  cuts is the sorted union of
+    those cumulative lists below 1.0, and u in [0, 1) lies in cell
+    k = (cuts <= u).sum() of width = len(cuts) + 1 cells, on each of
+    which every row's step is constant.  Flagged rows are made absorbing
+    (every cell stays put), so a walk that has entered one is still on
+    it after any further steps; isolated rows, never entered, stay put
+    too.  Each row here has 2**shift >= width**2 entries: entry
     (v << shift) + k1 * width + k2 holds the two steps from v through
     cells k1 and k2.  pair gives the second vertex shifted left by shift,
     so the next lookup is one addition, and mid gives the first.
     """
-    merged, table = _step_table(nbrs, cums)
-    n, width = len(nbrs), len(merged)
-    one = table.reshape(n, width) // width
-    one[flags] = np.flatnonzero(flags)[:, None]
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    cums = {d: _cum_row(np.full(d, 1.0) / d) for d in np.unique(deg[deg > 0]).tolist()}
+    merged = sorted({c for row in cums.values() for c in row})
+    width = len(merged)
+    lows = [0.0, *merged[:-1]]  # the left end of each cell
+    cols = np.zeros((deg.max() + 1, width), dtype=np.intp)  # cell -> neighbour offset, by degree
+    for d, row in cums.items():
+        cols[d] = [bisect_right(row, u) for u in lows]
+    one = np.repeat(np.arange(n)[:, None], width, axis=1)
+    live = np.flatnonzero((deg > 0) & ~flags)
+    one[live] = nbr[indptr[live, None] + cols[deg[live]]]
     shift = (width * width - 1).bit_length()
     mid = np.zeros((n, 1 << shift), dtype=_vertex_dtype(n))
     pair = np.zeros((n, 1 << shift), dtype=np.intp)
     firsts = np.repeat(one, width, axis=1)
     mid[:, : width * width] = firsts
     pair[:, : width * width] = one[firsts, np.tile(np.arange(width), width)] << shift
-    cuts = np.array([c for c in merged if c < 1.0])
+    cuts = np.array(merged[:-1])
     return cuts, width, shift, pair.reshape(-1), mid.reshape(-1)
 
 
-def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, step_cap: int):
+def _walk_many(indptr, nbr, start: int, flags, master_seed: int, count: int, step_cap: int):
     """Yield (i, path) for trajectories 0..count-1 from `start`, as they finish.
 
-    path is trajectory i's index array, both endpoints kept, equal to
-    `_walk` on trajectory_stream(master_seed, i).  Up to LOCKSTEP_POOL
+    The walk runs on the graph with CSR arrays indptr and nbr, from vertex
+    `start` until it enters a vertex flagged in the boolean mask `flags`.
+    path is trajectory i's np.intp index array, both endpoints kept,
+    equal to `_walk` on trajectory_stream(master_seed, i) over the walk
+    chain that steps to a uniform neighbour.  Up to LOCKSTEP_POOL
     walkers step together: each draws LOCKSTEP_BLOCK uniforms from its
     own stream per round, and two steps of all of them are one addition
     and one gather through `_pair_table`.  Targets absorb, so a walker
@@ -411,9 +402,8 @@ def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, 
     """
     if count <= 0:
         return
-    head = np.array([start], dtype=_vertex_dtype(len(nbrs)))
-    flags = np.asarray(is_target, dtype=bool)
-    cuts, width, shift, pair, mid = _pair_table(nbrs, cums, flags)
+    head = np.array([start], dtype=_vertex_dtype(len(flags)))
+    cuts, width, shift, pair, mid = _pair_table(indptr, nbr, flags)
     block = LOCKSTEP_BLOCK
     half = block // 2
     size = min(LOCKSTEP_POOL, count)
@@ -469,7 +459,8 @@ def _walk_many(nbrs, cums, start: int, is_target, master_seed: int, count: int, 
         at[0] = at[half]
         dropped = []
         for r in sel.tolist():
-            finished = ids[r], np.concatenate([*pieces[r], trail[since[r] : row + first[r] + 1, r]])
+            tail = trail[since[r] : row + first[r] + 1, r]
+            finished = ids[r], np.concatenate([*pieces[r], tail], dtype=np.intp)
             since[r] = row + block
             if nxt < count:
                 ids[r], rngs[r], pieces[r] = nxt, trajectory_stream(master_seed, nxt), [head]

@@ -231,9 +231,9 @@ def to_xy(graph: FractalGraph) -> np.ndarray:
     return pts
 
 
-def _guard(count: int, what: str, max_vertices: int):
-    if count > max_vertices:
-        raise ValueError(f"level needs {what}, above the {max_vertices} cap")
+def _guard(count: int, what: str):
+    if count > MAX_VERTICES:
+        raise ValueError(f"level needs {what}, above the {MAX_VERTICES} cap")
 
 
 class _CellCorners:
@@ -297,7 +297,7 @@ def _sorted_pairs(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(np.divmod(key, n))
 
 
-def gasket_graph(m: int, max_vertices: int = MAX_VERTICES) -> FractalGraph:
+def gasket_graph(m: int) -> FractalGraph:
     """Level-m gasket graph: three half-scale copies glued at corners.
 
     Cells are addressed by words over the three corner maps, and built
@@ -310,16 +310,14 @@ def gasket_graph(m: int, max_vertices: int = MAX_VERTICES) -> FractalGraph:
     if m < 0:
         raise ValueError("level must be >= 0")
     count = (3 ** (m + 1) + 3) // 2
-    _guard(count, f"about {count} vertices", max_vertices)
+    _guard(count, f"about {count} vertices")
     cells = _CellCorners(2, ((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1)), m)
     c0, c1, c2 = cells.lookup(cells.keys).reshape(-1, 3).T
     ends = _sorted_pairs(np.concatenate([c0, c1, c2]), np.concatenate([c1, c2, c0]), cells.n)
     return FractalGraph("gasket", m, 2**m, cells.points(), ends, cells.level_sets())
 
 
-def carpet_graph(
-    template: CarpetTemplate, m: int, max_vertices: int = MAX_VERTICES
-) -> FractalGraph:
+def carpet_graph(template: CarpetTemplate, m: int) -> FractalGraph:
     """Level-m carpet graph: corners of kept cells, edges at distance k^-m.
 
     Built with array operations. Vertices come in order of first
@@ -335,7 +333,7 @@ def carpet_graph(
     k = template.k
     # the guard counts the key arrays the build allocates: 4 corners a cell
     count = 4 * len(template.cells) ** m
-    _guard(count, f"{count} cell corners", max_vertices)
+    _guard(count, f"{count} cell corners")
     offsets = sorted((i - 1, j - 1) for i, j in template.cells)
     cells = _CellCorners(k, offsets, ((0, 0), (1, 0), (0, 1), (1, 1)), m)
     grid, points = k**m, cells.points()

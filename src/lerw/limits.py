@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import STEP_CAP, _cum_row, _walk_many
+from .chain import STEP_CAP, _walk_many
 from .erasure import loop_erase, partial_loop_erase_array, refinement_erase
 from .fractal import (
     FractalGraph,
@@ -107,10 +107,10 @@ class WalkConfig:
 def _graph_walks(config: WalkConfig, x: int, targets: Iterable, count: int):
     """Trajectories 0..count-1 of the graph walk from x into targets.
 
-    Returns `chain._walk_many`'s generator of (i, vertex index array), in
-    the order the walks finish.  Each vertex steps to one of its sorted
-    neighbours with weight 1/deg, as the walk chain of the graph's
-    uniform network does.  There is no reachability check: an
+    Returns `chain._walk_many`'s generator of (i, np.intp vertex index
+    array), in the order the walks finish.  Each vertex steps to one of
+    its sorted neighbours with weight 1/deg, as the walk chain of the
+    graph's uniform network does.  There is no reachability check: an
     unreachable target set ends in StepCapExceeded.
     """
     g = config.graph
@@ -121,17 +121,11 @@ def _graph_walks(config: WalkConfig, x: int, targets: Iterable, count: int):
         if not 0 <= v < g.n:
             raise ValueError(f"{role} vertex {v} is out of range: the graph has vertices 0..{g.n - 1}")
     indptr, nbr = adjacency_arrays(g)
-    flat, bounds = nbr.tolist(), indptr.tolist()
-    nbrs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-    if not nbrs[x]:
+    if indptr[x] == indptr[x + 1]:
         raise ValueError(f"start vertex {x} at {tuple(g.points[x].tolist())} has no neighbours")
-    # rows of equal degree share one cumulative list
-    shared = {d: _cum_row(np.full(d, 1.0) / d) for d in {len(r) for r in nbrs}}
-    cums = [shared[len(r)] for r in nbrs]
-    is_target = [False] * g.n
-    for t in tset:
-        is_target[t] = True
-    return _walk_many(nbrs, cums, x, is_target, config.master_seed, count, config.step_cap)
+    flags = np.zeros(g.n, dtype=bool)
+    flags[list(tset)] = True
+    return _walk_many(indptr, nbr, x, flags, config.master_seed, count, config.step_cap)
 
 
 def _apply_pipeline(path: tuple, pipeline):
@@ -310,8 +304,9 @@ def resistance_scaling(
     in reach). Gasket levels and rational carpet levels build the graph
     and trace it onto the corners the probes use, so rational values
     are exact. A repeated level, corner indices outside the graph's
-    corners, pairs of one corner with itself, an empty pair list and an
-    unknown mode raise ValueError, before any level is built.
+    corners, pairs of one corner with itself, a pair given twice (in
+    either order), an empty pair list and an unknown mode raise
+    ValueError, before any level is built.
     """
     if mode not in ("rational", "double"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -321,9 +316,14 @@ def resistance_scaling(
     if pairs is not None:
         if not pairs:
             raise ValueError("need at least one probe pair")
+        seen = set()
         for ci, cj in pairs:
             if ci == cj:
                 raise ValueError(f"probe pair {ci}-{cj} needs two distinct corners")
+            key = frozenset((ci, cj))
+            if key in seen:
+                raise ValueError(f"probe pair {ci}-{cj} is repeated")
+            seen.add(key)
     base = 2 if kind == "gasket" else (template.k if template else None)
     count = 3 if kind == "gasket" else 4
     probe = pairs if pairs is not None else [(i, j) for i in range(count) for j in range(i + 1, count)]

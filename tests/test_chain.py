@@ -21,7 +21,6 @@ from lerw.chain import (
     _pair_table,
     _philox_key,
     _row_tables,
-    _step_table,
     _walk,
     build_chain,
     chain_from_text,
@@ -329,34 +328,16 @@ class TestStepRule:
                 checked += len(us)
         assert checked == 81_930
 
-    def test_step_table_matches_bisect_at_every_cell_edge(self):
-        # one gather per step must give nbrs[v][bisect_right(cums[v], u)]
-        # exactly, including at and next to every cell boundary
-        nbrs = [[1], [0, 2], [1, 3, 4], [2, 4, 5, 6], [2, 3], [3], [3], []]
-        shared = {d: _cum_row(np.full(d, 1.0) / d) for d in range(5)}
-        cums = [shared[len(r)] for r in nbrs]
-        merged, table = _step_table(nbrs, cums)
-        width = len(merged)
-        assert width == 6
-        offsets = np.arange(-64, 65, dtype=np.int64)
-        edges = np.concatenate([[0.0], merged])
-        near = (edges.view(np.int64)[:, None] + offsets).view(np.float64).ravel()
-        us = np.concatenate([near[(near >= 0.0) & (near < 1.0)], np.random.default_rng(0).random(2000)])
-        ks = np.searchsorted(merged, us, side="right")
-        for v, (js, cs) in enumerate(zip(nbrs, cums)):
-            if not js:
-                continue
-            got = table[v * width + ks] // width
-            assert got.tolist() == [js[bisect_right(cs, u)] for u in us.tolist()], v
-
     def test_pair_table_makes_two_steps_and_targets_absorb(self):
         # entry (v << shift) + k1 * width + k2 is two bisect steps from v,
-        # except that a flagged row never leaves itself
+        # except that a flagged or isolated (7) row never leaves itself;
+        # each step is checked at and next to every cell edge
         nbrs = [[1], [0, 2], [1, 3, 4], [2, 4, 5, 6], [2, 3], [3], [3], []]
-        shared = {d: _cum_row(np.full(d, 1.0) / d) for d in range(5)}
-        cums = [shared[len(r)] for r in nbrs]
+        cums = [_cum_row(np.full(len(r), 1.0) / len(r)) for r in nbrs]
+        indptr = np.cumsum([0, *map(len, nbrs)])
+        nbr = np.array([j for r in nbrs for j in r])
         flags = np.array([False, False, False, False, True, False, True, False])
-        cuts, width, shift, pair, mid = _pair_table(nbrs, cums, flags)
+        cuts, width, shift, pair, mid = _pair_table(indptr, nbr, flags)
         assert width == 6 and 1 << shift == 64 and len(cuts) == 5
         offsets = np.arange(-64, 65, dtype=np.int64)
         edges = np.concatenate([[0.0], cuts])

@@ -153,6 +153,16 @@ class TestResist:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_repeated_probe_pair_exits_two(self, tmp_path, capsys):
+        # each row of resist.csv would be written twice
+        code = main(
+            ["resist", "--gasket", "-m", "1..2", "--mode", "rational", "--pair", "0-1,0-1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "probe pair 0-1 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "resist.csv").exists()
+
 
 class TestConverge:
     @pytest.mark.parametrize(

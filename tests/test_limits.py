@@ -202,6 +202,16 @@ class TestGraphWalks:
         with pytest.raises(StepCapExceeded):
             lerw_set_law(WalkConfig(path_stub(2), 1, step_cap=0), 0, [1], 300)
 
+    def test_walks_come_back_as_intp(self):
+        # the trail buffer holds uint16 vertices on carpet m3; paths are
+        # widened so that arithmetic on them (lo * n + hi, u - v) cannot wrap
+        g = carpet_graph(standard_carpet(), 3)
+        c = corner_indices(g)
+        walks = dict(_graph_walks(WalkConfig(g, 5), c[0], [c[3]], 20))
+        assert sorted(walks) == list(range(20))
+        assert {w.dtype for w in walks.values()} == {np.dtype(np.intp)}
+        assert all(w[0] == c[0] and w[-1] == c[3] for w in walks.values())
+
     def test_out_of_range_vertices_are_named(self):
         g = gasket_graph(1)
         for start, targets in ((0, [-1]), (-g.n, [1]), (0, [g.n]), (g.n, [1])):
@@ -653,6 +663,8 @@ class TestResistanceScaling:
             ("carpet", [(-1, 2)], "corner index -1 is out of range"),
             ("carpet", [(1, 1)], "probe pair 1-1 needs two distinct corners"),
             ("carpet", [], "need at least one probe pair"),
+            ("gasket", [(0, 1), (0, 1)], "probe pair 0-1 is repeated"),
+            ("carpet", [(0, 1), (2, 3), (1, 0)], "probe pair 1-0 is repeated"),
         ],
     )
     def test_bad_probe_pairs_are_named(self, kind, pairs, match):
