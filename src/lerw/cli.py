@@ -513,19 +513,27 @@ def _cmd_resist(cfg: dict) -> int:
 
 
 def _cmd_converge(cfg: dict) -> int:
-    out = _out_dir(cfg)
     what = cfg.get("what")
     if what == "kernel":
-        return _converge_kernel(cfg, out)
+        return _converge_kernel(cfg)
     if what == "coupled":
-        return _converge_coupled(cfg, out)
+        return _converge_coupled(cfg)
     raise UsageError("--what must be kernel or coupled")
 
 
-def _converge_kernel(cfg: dict, out: Path) -> int:
+def _check_trend(cfg: dict, points: int, what: str):
+    """Refuse --assert-decreasing on fewer than two points: it would pass
+    with nothing compared."""
+    if cfg.get("assert_decreasing") and points < 2:
+        raise UsageError(f"--assert-decreasing compares {what}: it needs at least two, got {points}")
+
+
+def _converge_kernel(cfg: dict) -> int:
     m = _parse_level(cfg)
     m_primes = _parse_level_range(cfg.get("m_primes"))
+    _check_trend(cfg, max(len(m_primes) - 1, 0), "kernel differences of successive m' levels")
     kind, template = _family(cfg)
+    out = _out_dir(cfg)
     res = kernel_convergence(kind, m, int(cfg["corner"]), m_primes, template=template)
     h = _config_hash(cfg)
     diff_rows = [[d["pair"][0], d["pair"][1], repr(d["max_diff"])] for d in res["diffs"]]
@@ -571,23 +579,34 @@ def _converge_kernel(cfg: dict, out: Path) -> int:
 
 
 def _parse_level_pairs(spec) -> list:
+    """The stage:level pairs of --pairs; a stage outside 0..level or a
+    pair given twice raises UsageError."""
     if spec is None:
         raise UsageError("coupled runs need --pairs, e.g. 1:2,2:3")
     pairs = []
     for tok in str(spec).split(","):
         try:
             a, b = tok.split(":")
-            pairs.append((int(a), int(b)))
+            stage, level = int(a), int(b)
         except ValueError:
             raise UsageError(f"bad level pair {tok!r}; use stage:level like 1:2")
+        if not 0 <= stage <= level:
+            raise UsageError(f"level pair {stage}:{level} needs 0 <= stage <= level")
+        if (stage, level) in pairs:
+            raise UsageError(f"level pair {stage}:{level} is repeated")
+        pairs.append((stage, level))
     return pairs
 
 
-def _converge_coupled(cfg: dict, out: Path) -> int:
+def _converge_coupled(cfg: dict) -> int:
     pairs = _parse_level_pairs(cfg.get("pairs"))
-    seed = _resolve_seed(cfg, announce=True)
     n = int(cfg["n"])
+    if n < 1:
+        raise UsageError(f"num_samples must be positive, got -n {n}")
+    _check_trend(cfg, len(pairs), "the medians of level pairs")
     kind, template = _family(cfg)
+    out = _out_dir(cfg)
+    seed = _resolve_seed(cfg, announce=True)
     rows = []
     medians = []
     counters = []

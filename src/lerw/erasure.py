@@ -18,8 +18,17 @@ index, so its Python work scales with the output, not the input.  Tests
 pin them to each other on fuzzed inputs and long graph walks; the naive
 versions are the reference.
 
-`partial_loop_erase_array` runs the same recursion on a numpy path of
-integer states under a boolean erasable mask, for sampled graph walks.
+Sampled graph walks are numpy paths of integer states, and two array
+routines erase them by the same recursion, returning the surviving
+indices: `loop_erase_array` (full erasure) and
+`partial_loop_erase_array` (under a boolean erasable mask).  Each keeps
+its last-visit table as an array over states, built with one
+np.maximum.at.  `limits.coupled_refinement_distance` uses both, and
+`limits.lerw_set_law` uses `loop_erase_array` for its plain "LE"
+pipeline.  The tuple routines serve everything else: chain paths of
+arbitrary hashable states (corner walks, exact enumeration) and the
+refinement pipelines through `refinement_erase`.  Tests pin the array
+routines to the naive ones as well.
 """
 
 from __future__ import annotations
@@ -156,6 +165,32 @@ def partial_loop_erase(w: Sequence, retained: Iterable) -> ErasureResult:
     return ErasureResult(tuple(map(w.__getitem__, indices)), tuple(indices))
 
 
+def loop_erase_array(w: np.ndarray, n_states: int) -> np.ndarray:
+    """Surviving indices of the loop erasure of an integer path.
+
+    w is a non-empty 1-d array of states 0..n_states-1; the result equals
+    loop_erase(w).indices as an array.  The last-visit table is an array
+    over states; gathered along the path it gives each position the last
+    visit to the state held there, and the chase reads one entry of that
+    per surviving index, so its Python work scales with the output.  It
+    reads them through a memoryview, which yields Python ints without
+    converting the whole path to a list.
+    """
+    w = np.asarray(w)
+    if w.ndim != 1 or not len(w):
+        raise ValueError("path must be a non-empty 1-d array")
+    eta = len(w) - 1
+    last = np.zeros(n_states, dtype=np.intp)  # state -> its last visit
+    np.maximum.at(last, w, np.arange(len(w)))
+    succ = memoryview(last[w])  # position -> last visit to the state held there
+    indices = [0]
+    nxt = succ[0]
+    while nxt != eta:
+        indices.append(nxt + 1)
+        nxt = succ[nxt + 1]
+    return np.array(indices, dtype=np.intp)
+
+
 def partial_loop_erase_array(w: np.ndarray, erasable: np.ndarray) -> np.ndarray:
     """Surviving indices of the partial loop erasure of an integer path.
 
@@ -167,8 +202,8 @@ def partial_loop_erase_array(w: np.ndarray, erasable: np.ndarray) -> np.ndarray:
     Only positions holding erasable states are chased.  The last visit
     to an erasable state is itself such a position, so the chase runs on
     their ranks alone and the next erasable position after a jump is the
-    next rank.  The runs between chased positions survive whole and are
-    copied as slices.
+    next rank.  The runs between chased positions survive whole; only
+    those runs are materialized.
     """
     w = np.asarray(w)
     if w.ndim != 1 or not len(w):
@@ -178,19 +213,18 @@ def partial_loop_erase_array(w: np.ndarray, erasable: np.ndarray) -> np.ndarray:
     held = w[marks]
     last = np.zeros(len(erasable), dtype=np.intp)  # state -> rank of its last visit
     np.maximum.at(last, held, np.arange(len(marks)))
-    positions = np.arange(len(w))
     runs = []
     i = j = 0  # next input position, rank of the first erasable position at or after it
     while j < len(marks):
-        e = int(marks[j])
-        runs.append(positions[i : e + 1])
-        j = int(last[held[j]])  # jump past the last visit to w[e]
-        i = int(marks[j]) + 1
+        e = marks.item(j)
+        runs.append(np.arange(i, e + 1))
+        j = last.item(held.item(j))  # jump past the last visit to w[e]
+        i = marks.item(j) + 1
         if i > eta:
             break
         j += 1
     else:  # no erasable position left: the rest survives
-        runs.append(positions[i:])
+        runs.append(np.arange(i, eta + 1))
     return np.concatenate(runs)
 
 

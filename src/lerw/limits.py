@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .chain import STEP_CAP, _walk_many
-from .erasure import loop_erase, partial_loop_erase_array, refinement_erase
+from .erasure import loop_erase_array, partial_loop_erase_array, refinement_erase
 from .fractal import (
     FractalGraph,
     adjacency_arrays,
@@ -128,37 +128,38 @@ def _graph_walks(config: WalkConfig, x: int, targets: Iterable, count: int):
     return _walk_many(indptr, nbr, x, flags, config.master_seed, count, config.step_cap)
 
 
-def _apply_pipeline(path: tuple, pipeline):
-    if isinstance(pipeline, str):
-        if pipeline != "LE":
-            raise ValueError(f"unknown pipeline {pipeline!r}")
-        return loop_erase(path).path
-    return refinement_erase(path, pipeline)[-1].path
-
-
 def lerw_set_law(
     config: WalkConfig, x: int, targets: Iterable, num_samples: int, pipeline="LE"
 ) -> EmpiricalSetLaw:
     """Empirical law of the erased walk's image as a point set.
 
-    For the plain "LE" pipeline every output is checked to be a simple
-    path from x into exactly one target before it is recorded.
+    The plain "LE" pipeline erases each walk with `loop_erase_array` and
+    checks that the output is a simple path from x into exactly one
+    target before it is recorded; a list of levels runs through
+    `refinement_erase`.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
+    plain = isinstance(pipeline, str)
+    if plain and pipeline != "LE":
+        raise ValueError(f"unknown pipeline {pipeline!r}")
     g = config.graph
     tset = frozenset(targets)
     walks = _graph_walks(config, x, tset, num_samples)
-    plain = isinstance(pipeline, str)
+    is_target = np.zeros(g.n, dtype=bool)
+    is_target[list(tset)] = True
     verts = g.vertices
     keys = [None] * num_samples
     for i, w in walks:
-        out = _apply_pipeline(tuple(w.tolist()), pipeline)
         if plain:
-            if len(set(out)) != len(out):
+            out = w[loop_erase_array(w, g.n)]
+            if len(np.unique(out)) != len(out):
                 raise AssertionError(f"erased output not simple on sample {i}")
-            if out[0] != x or out[-1] not in tset or not tset.isdisjoint(out[:-1]):
+            if out[0] != x or not is_target[out[-1]] or is_target[out[:-1]].any():
                 raise AssertionError(f"bad endpoints on sample {i}")
+            out = out.tolist()
+        else:
+            out = refinement_erase(tuple(w.tolist()), pipeline)[-1].path
         keys[i] = tuple(sorted(verts[v] for v in set(out)))
     # counted in index order, so the atoms keep the serial insertion order
     atoms = Counter(keys)
@@ -190,7 +191,7 @@ def coupled_refinement_distance(
     off_final = np.zeros(g.n, dtype=bool)  # all False between samples
     for i, w in walks:
         stage = w[partial_loop_erase_array(w, erasable)]
-        final = np.array(loop_erase(stage.tolist()).path)
+        final = stage[loop_erase_array(stage, g.n)]
         steps[i] = len(w) - 1
         stage_points += len(stage)
         final_points += len(final)

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+import lerw.cli
 from lerw.chain import build_chain, chain_to_text, dense_chain
 from lerw.cli import _buggy_ple_step, main
 from lerw.exactlaw import enumerate_erasure_law, law_from_text, tv_distance
@@ -215,6 +216,52 @@ class TestConverge:
             assert s == {"stage": s["stage"], "level": s["level"], **direct["stats"]}
             assert s["walk_steps"] >= s["stage_points"] - 200 >= s["final_points"] - 200 > 0
             assert 0 < s["walk_steps_max"] <= s["walk_steps"]
+
+    @pytest.mark.parametrize(
+        "pairs, n, message",
+        [
+            ("3:4,5:4", "300", "level pair 5:4 needs 0 <= stage <= level"),
+            ("1:2,0:-1", "300", "level pair 0:-1 needs 0 <= stage <= level"),
+            ("1:2,1:2", "300", "level pair 1:2 is repeated"),
+            ("3:4", "0", "num_samples must be positive, got -n 0"),
+        ],
+    )
+    def test_coupled_request_checked_before_any_graph(self, tmp_path, capsys, monkeypatch,
+                                                      pairs, n, message):
+        # each used to fail (or, repeated, run twice) only after sampling
+        # the pairs before it, leaving an output directory behind
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(lerw.cli, "_family_graph", no_graph)
+        out = tmp_path / "out"
+        code = main(
+            ["converge", "--what", "coupled", "--carpet", "standard", "--pairs", pairs,
+             "--from", "q1", "--to", "q4", "-n", n, "--seed", "3", "--out", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--what", "coupled", "--gasket", "--pairs", "1:2", "--from", "q1", "--to", "q2",
+              "-n", "50", "--seed", "3"], "it needs at least two, got 1"),
+            (["--what", "kernel", "--gasket", "-m", "1", "--m-primes", "2"],
+             "it needs at least two, got 0"),
+            (["--what", "kernel", "--gasket", "-m", "1", "--m-primes", "1..2"],
+             "it needs at least two, got 1"),
+        ],
+        ids=["one-pair", "one-level", "two-levels"],
+    )
+    def test_vacuous_trend_exits_two(self, tmp_path, capsys, argv, message):
+        # fewer than two points printed PASS with nothing compared
+        out = tmp_path / "out"
+        code = main(["converge", *argv, "--assert-decreasing", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_what_exits_two(self, tmp_path, capsys):
         assert main(["converge", "--what", "nope", "--out", str(tmp_path)]) == 2

@@ -13,6 +13,7 @@ from lerw.erasure import (
     concat_paths,
     erase_step,
     loop_erase,
+    loop_erase_array,
     loop_erase_naive,
     partial_loop_erase,
     partial_loop_erase_array,
@@ -125,9 +126,28 @@ def test_array_erasure_matches_naive(w, mask):
     assert array_erase(w, [False] * 6) == ErasureResult(w, tuple(range(len(w))))
 
 
+def array_full_erase(w, n_states):
+    """loop_erase_array as an ErasureResult of plain ints."""
+    w = np.asarray(w)
+    idx = loop_erase_array(w, n_states)
+    return ErasureResult(tuple(w[idx].tolist()), tuple(idx.tolist()))
+
+
+@settings(max_examples=400)
+@given(paths)
+@example((3,))
+@example((0, 1, 2, 1))
+@example((0, 1, 0))
+def test_array_full_erasure_matches_naive(w):
+    # a one-element path and a final state visited before are pinned
+    assert array_full_erase(w, 6) == loop_erase_naive(w)
+
+
 def test_array_erasure_rejects_empty_paths():
     with pytest.raises(ValueError, match="non-empty"):
         partial_loop_erase_array(np.array([], dtype=int), np.ones(3, dtype=bool))
+    with pytest.raises(ValueError, match="non-empty"):
+        loop_erase_array(np.array([], dtype=int), 3)
 
 
 def test_fast_matches_naive_on_long_graph_walks():
@@ -143,6 +163,7 @@ def test_fast_matches_naive_on_long_graph_walks():
         lengths.append(len(path))
         assert loop_erase(path) == loop_erase_naive(path), i
         assert array_erase(w, np.ones(g.n, dtype=bool)) == loop_erase_naive(path), i
+        assert array_full_erase(w, g.n) == loop_erase_naive(path), i
         for retained in (g.nested[0], g.nested[1]):
             expected = partial_loop_erase_naive(path, retained)
             assert partial_loop_erase(path, retained) == expected, i

@@ -494,6 +494,41 @@ assert "scipy.sparse" not in sys.modules, "sampling imported scipy.sparse"
             assert st["distances"][i] == expected, i
         assert st["max"] > 0
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_tuple_erasures_give_the_same_result(self, m):
+        # the whole computation redone with the tuple erasures of chain
+        # paths: the array erasures must not move a bit of it
+        g = carpet_graph(standard_carpet(), 2)
+        c = corner_indices(g)
+        config = WalkConfig(g, 29)
+        st = coupled_refinement_distance(config, m, c[0], [c[3]], 300)
+        xy = to_xy(g)
+        dists = np.empty(300)
+        steps = []
+        stage_points = final_points = 0
+        for i, w in _graph_walks(config, c[0], [c[3]], 300):
+            stage = partial_loop_erase(w.tolist(), g.nested[m]).path
+            final = loop_erase(stage).path
+            steps.append(len(w) - 1)
+            stage_points += len(stage)
+            final_points += len(final)
+            off = sorted(set(stage) - set(final))
+            if not off:
+                dists[i] = 0.0
+                continue
+            pa, pb = xy[off], xy[list(final)]
+            dx = pa[:, :1] - pb[:, 0]
+            dy = pa[:, 1:] - pb[:, 1]
+            dists[i] = float((dx * dx + dy * dy).min(1).max()) ** 0.5
+        assert st["distances"].tolist() == dists.tolist()
+        assert st["stats"] == {
+            "walk_steps": sum(steps),
+            "walk_steps_max": max(steps),
+            "stage_points": stage_points,
+            "final_points": final_points,
+        }
+        assert st["max"] > 0
+
     def test_counters_count_walks_and_erasures(self):
         g = carpet_graph(standard_carpet(), 2)
         c = corner_indices(g)
