@@ -206,6 +206,8 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _out_dir(cfg: dict) -> Path:
+    """The output directory, created.  Subcommands call it only once their
+    results are computed, so a refused run leaves no directory behind."""
     out = cfg.get("out") or os.environ.get(OUTPUT_DIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -399,10 +401,10 @@ def _parse_pipeline_levels(spec, graph):
 # Subcommands
 
 def _cmd_graph(cfg: dict) -> int:
-    out = _out_dir(cfg)
     level = _parse_level(cfg)
     kind, template = _family(cfg)
     graph = _family_graph(kind, level, template)
+    out = _out_dir(cfg)
     vtext, etext = graph_to_text(graph)
     (out / "graph_vertices.txt").write_text(vtext)
     (out / "graph_edges.txt").write_text(etext)
@@ -440,7 +442,6 @@ def _parse_pairs(spec) -> list | None:
 
 
 def _cmd_resist(cfg: dict) -> int:
-    out = _out_dir(cfg)
     levels = _parse_level_range(cfg.get("m"))
     kind, template = _family(cfg)
     band = cfg.get("band")
@@ -452,6 +453,7 @@ def _cmd_resist(cfg: dict) -> int:
         pairs=_parse_pairs(cfg.get("pair")),
         band=band,
     )
+    out = _out_dir(cfg)
     h = _config_hash(cfg)
     rows = [
         [r["level"], f"{r['pair'][0]}-{r['pair'][1]}", _num(r["resistance"]), repr(r["rho"])]
@@ -533,8 +535,8 @@ def _converge_kernel(cfg: dict) -> int:
     m_primes = _parse_level_range(cfg.get("m_primes"))
     _check_trend(cfg, max(len(m_primes) - 1, 0), "kernel differences of successive m' levels")
     kind, template = _family(cfg)
-    out = _out_dir(cfg)
     res = kernel_convergence(kind, m, int(cfg["corner"]), m_primes, template=template)
+    out = _out_dir(cfg)
     h = _config_hash(cfg)
     diff_rows = [[d["pair"][0], d["pair"][1], repr(d["max_diff"])] for d in res["diffs"]]
     (out / "converge.csv").write_text(
@@ -605,7 +607,6 @@ def _converge_coupled(cfg: dict) -> int:
         raise UsageError(f"num_samples must be positive, got -n {n}")
     _check_trend(cfg, len(pairs), "the medians of level pairs")
     kind, template = _family(cfg)
-    out = _out_dir(cfg)
     seed = _resolve_seed(cfg, announce=True)
     rows = []
     medians = []
@@ -623,6 +624,7 @@ def _converge_coupled(cfg: dict) -> int:
         )
         medians.append(stats["median"])
         counters.append({"stage": stage, "level": level, **stats["stats"]})
+    out = _out_dir(cfg)
     h = _config_hash(cfg)
     (out / "converge.csv").write_text(
         _csv_text(h, ["stage", "level", "n", "median", "q90", "mean", "max"], rows)
@@ -653,7 +655,6 @@ def _converge_coupled(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    out = _out_dir(cfg)
     level = _parse_level(cfg)
     kind, template = _family(cfg)
     graph = _family_graph(kind, level, template)
@@ -664,6 +665,7 @@ def _cmd_simulate(cfg: dict) -> int:
     n = int(cfg["n"])
     config = WalkConfig(graph, seed, step_cap=int(cfg["step_cap"]))
     law = lerw_set_law(config, x, targets, n, pipeline)
+    out = _out_dir(cfg)
     (out / "simulate_law.txt").write_text(set_law_to_text(law))
     top = max(law.atoms.values())
     results = {
@@ -692,7 +694,6 @@ def _load_chain(cfg: dict) -> MarkovChain:
 
 
 def _cmd_exact_law(cfg: dict) -> int:
-    out = _out_dir(cfg)
     chain = _load_chain(cfg)
     states = set(chain.states)
     start = cfg.get("start") or chain.states[0]
@@ -719,6 +720,7 @@ def _cmd_exact_law(cfg: dict) -> int:
         length_cap=int(cfg["length_cap"]),
         tol=tol,
     )
+    out = _out_dir(cfg)
     (out / "exact_law.txt").write_text(law_to_text(law))
     results = {
         "states": list(map(str, chain.states)),
@@ -784,7 +786,6 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     states_max = int(cfg["states_max"])
     if fuzzing and not 3 <= states_max <= 5:
         raise UsageError(f"--states-max must lie in 3..5 (fuzz chain sizes), got {states_max}")
-    out = _out_dir(cfg)
     seed = _resolve_seed(cfg, announce=True)
     rng = Random(seed)
     inject = bool(cfg.get("inject_ple_bug"))
@@ -858,7 +859,7 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     }
     print(f"verify-theorem1: {checked} cases over {len(chains)} chains")
     return _finish(
-        "verify-theorem1", cfg, out, results, checks, files={},
+        "verify-theorem1", cfg, _out_dir(cfg), results, checks, files={},
         counterexample=counterexample,
     )
 
@@ -867,7 +868,6 @@ def _cmd_verify_green(cfg: dict) -> int:
     identities, perms = _count(cfg, "identities"), _count(cfg, "permutations")
     if identities == perms == 0:
         raise UsageError("--identities and --permutations are both 0: nothing to check")
-    out = _out_dir(cfg)
     seed = _resolve_seed(cfg, announce=True)
     rng = Random(seed)
     counterexample = None
@@ -923,7 +923,7 @@ def _cmd_verify_green(cfg: dict) -> int:
     }
     print(f"verify-green: {identities} identity and {perms} permutation instances")
     return _finish(
-        "verify-green", cfg, out, results, checks, files={},
+        "verify-green", cfg, _out_dir(cfg), results, checks, files={},
         counterexample=counterexample,
     )
 

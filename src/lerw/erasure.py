@@ -115,13 +115,12 @@ def fold_step(prefix: tuple, y, retained) -> tuple:
 
     prefix is the erasure of the input consumed so far and y the next
     state; retained None means full loop erasure.  A revisit of an
-    erasable y cuts the prefix back to its earlier copy; anything else is
-    appended.  This is the step the exact enumerator folds.
+    erasable y cuts the prefix back to its last copy of y; anything else
+    is appended.  This is the step the exact enumerator folds.  The
+    search runs in C: `in`, then `index` on the reversed prefix.
     """
-    if retained is None or y in retained:
-        for k in range(len(prefix) - 1, -1, -1):
-            if prefix[k] == y:
-                return prefix[: k + 1]
+    if (retained is None or y in retained) and y in prefix:
+        return prefix[: len(prefix) - prefix[::-1].index(y)]
     return prefix + (y,)
 
 

@@ -19,8 +19,12 @@ output).  With tol given and a last stage retaining every non-absorbing
 state, the tower chain is finite and is reduced onto its start tower,
 leaves first in reverse breadth-first discovery order (`_reduce` and
 `network` keep the min-degree order): the law is exact and its tail
-bound 0.  Otherwise mass is stepped forward in time and the tail bound
-is the certified unabsorbed mass.
+bound 0.  That route builds no transition for a move that stays put:
+with the package's own fold it maps every tower to itself, the
+elimination drops the self-loops of the rows it removes, and on the
+kept start tower a self-loop only scales the sinks, so the normalized
+law is the same.  Otherwise mass is stepped forward in time, stay-put
+moves included, and the tail bound is the certified unabsorbed mass.
 The slow per-trajectory recursion is kept alongside as a cross-check.
 
 Both routes end with integers over one scale: the elimination's weights
@@ -478,12 +482,20 @@ def enumerate_erasure_law(
 
     A move into the absorbing set is fed to the innermost stage alone:
     the walk stops on entry, so no stage has consumed that state and no
-    outer stage can roll back on it.
+    outer stage can roll back on it.  With the package's own fold the
+    final path is the innermost partial plus that state, since a state
+    never consumed cannot be cut back to.  The elimination also skips a
+    move that stays put: fold_step maps the tower to itself, so the move
+    would be a self-loop, which the elimination drops on every tower but
+    the start, and there it only scales the sinks that the law is
+    normalized over.  The stepped route keeps those moves, since they
+    take time.
 
-    step_fn overrides the innermost erasure fold step, absorbing moves
-    included; it exists so negative controls can inject a broken erasure.
-    Like fold_step, it must end its output with the state it consumed.
-    Leave it None.
+    step_fn overrides the innermost erasure fold step, and then every
+    move is fed through it, stay-put and absorbing moves included; it
+    exists so negative controls can inject a broken erasure.  Like
+    fold_step, it must end its output with the state it consumed.  Leave
+    it None.
     """
     a = frozenset(absorbing)
     if not a:
@@ -537,15 +549,23 @@ def enumerate_erasure_law(
             at.append(j)
         return sid
 
+    own = step_fn is None
+    skip_stay = own and solve
+
     def expand(sid: int) -> tuple:
         """One tower's weights {successor sid: w} and {final path: w}."""
         tw = towers[sid]
+        here = at[sid]
         nxt: dict = {}
         ends: dict = {}
-        for j, w in moves[at[sid]]:
+        for j, w in moves[here]:
             if in_a[j]:
-                # j was never consumed, so no outer stage can roll back on it
-                k, row = step(_tower_final(tw, depth), states[j], last), ends
+                # j was never consumed, so no stage can roll back on it
+                final = _tower_final(tw, depth)
+                k = final + (states[j],) if own else step(final, states[j], last)
+                row = ends
+            elif j == here and skip_stay:
+                continue
             else:
                 k, row = intern(_tower_feed(tw, states[j], stages, 0, step), j), nxt
             row[k] = row.get(k, 0) + w

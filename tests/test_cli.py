@@ -564,3 +564,34 @@ class TestConfigPlumbing:
             hashes.append(summary["config_hash"])
             assert "workers" not in summary["config"]
         assert hashes[0] == hashes[1]
+
+
+class TestRefusedRunsLeaveNoOutput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["graph", "--gasket", "-m", "-1"], "level must be >= 0"),
+            (["resist", "--gasket", "-m", "1..2", "--pair", "0-0"],
+             "probe pair 0-0 needs two distinct corners"),
+            (["converge", "--what", "kernel", "--gasket", "-m", "2", "--m-primes", "1..3"],
+             "need levels m' >= m"),
+            (["converge", "--what", "coupled", "--gasket", "--pairs", "1:2", "--from", "q1",
+              "--to", "q1", "-n", "10", "--seed", "3"], "target set not containing the start"),
+            (["simulate", "--gasket", "-m", "1", "--from", "q1", "--to", "q1", "-n", "10",
+              "--seed", "3"], "target set not containing the start"),
+            (["exact-law", "--start", "zz"], "unknown start state"),
+            (["verify-theorem1", "--chain", "GARBAGE"], "bad chain file"),
+            (["verify-green", "--identities", "0", "--permutations", "0"], "nothing to check"),
+        ],
+        ids=["graph", "resist", "converge-kernel", "converge-coupled", "simulate", "exact-law",
+             "verify-theorem1", "verify-green"],
+    )
+    def test_exit_two_and_no_out_directory(self, tmp_path, capsys, argv, message):
+        # every subcommand but verify-green used to make --out before the
+        # refusal, leaving an empty directory behind
+        argv = [str(tmp_path / "garbage.txt") if a == "GARBAGE" else a for a in argv]
+        (tmp_path / "garbage.txt").write_text("a b\nnot a kernel\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -12,6 +12,7 @@ from lerw.erasure import (
     algorithm_two,
     concat_paths,
     erase_step,
+    fold_step,
     loop_erase,
     loop_erase_array,
     loop_erase_naive,
@@ -183,6 +184,23 @@ def test_fold_step_reproduces_ple(w, retained):
 @given(paths)
 def test_fold_step_reproduces_le(w):
     assert fold_erase(w, None) == loop_erase(w)
+
+
+def fold_step_reference(prefix, y, retained):
+    """fold_step as a reverse scan for the last copy of y."""
+    if retained is None or y in retained:
+        for k in range(len(prefix) - 1, -1, -1):
+            if prefix[k] == y:
+                return prefix[: k + 1]
+    return prefix + (y,)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.integers(0, 5), max_size=40).map(tuple), st.integers(0, 5), small_sets)
+def test_fold_step_matches_reverse_scan(prefix, y, retained):
+    # prefixes are arbitrary tuples, so retained states may repeat
+    for r in (None, retained | {y}, retained - {y}):
+        assert fold_step(prefix, y, r) == fold_step_reference(prefix, y, r)
 
 
 @settings(max_examples=300)

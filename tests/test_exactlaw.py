@@ -9,7 +9,7 @@ import pytest
 from lerw import _exact, exactlaw
 from lerw._exact import SingularSystemError, solve_fraction
 from lerw.chain import MarkovChain, build_chain, dense_chain as named_chain, reachability_closure
-from lerw.cli import _buggy_ple_step, bundled_chain
+from lerw.cli import _buggy_ple_step, _nested_pipelines, bundled_chain
 from lerw.erasure import fold_step, loop_erase, partial_loop_erase
 from lerw.exactlaw import (
     DELTA,
@@ -579,6 +579,95 @@ class TestAbsorbingMoves:
         bad = enumerate_erasure_law(ch, "a", {"d"}, pipe, length_cap=12, step_fn=spy)
         assert "d" in calls
         assert all(p[-1] == "d" for p in bad.atoms)
+        assert tv_distance(le, bad) > le.tail_bound + bad.tail_bound
+
+
+def lazy_chain():
+    """A 4-state chain that mostly stays put: each row holds 7/8 or more
+    on its diagonal and the rest in 32nds, some of them 0.  Its entries
+    are dyadic, so its double twin has the same exact kernel."""
+    e = Fraction(1, 32)
+    rows = [
+        [28 * e, 2 * e, 0, 2 * e],
+        [e, 28 * e, 2 * e, e],
+        [0, e, 28 * e, 3 * e],
+        [e, e, e, 29 * e],
+    ]
+    return build_chain("abcd", rows, "rational")
+
+
+class TestStayPutMoves:
+    """The eliminated route skips moves that stay put, which map a tower to
+    itself, and gives exits their final path without a fold.  Laws must
+    not move, and the stepped route and every step_fn still see each move."""
+
+    @pytest.mark.parametrize("mode", ["rational", "double"])
+    def test_lazy_chain_laws(self, mode):
+        exact = lazy_chain()
+        ch = exact if mode == "rational" else exact.as_double()
+        tol = Fraction(1, 10**9) if mode == "rational" else 1e-9
+        pipes = _nested_pipelines(ch.states)
+        checked = 0
+        for r in (1, 2, 3):
+            for a in map(frozenset, combinations(ch.states, r)):
+                for x in (s for s in ch.states if s not in a):
+                    le = enumerate_erasure_law(ch, x, a, "LE", tol=tol)
+                    assert le.tail_bound == 0
+                    assert set(le.atoms) == set(all_simple_absorbed_paths(exact, x, a))
+                    for w, mass in le.atoms.items():
+                        p = le_path_probability(exact, a, w)
+                        # a double atom is the exact value rounded once
+                        assert mass == (p if mode == "rational" else float(p))
+                    if r == 3:
+                        continue
+                    for pipe in pipes:
+                        law = enumerate_erasure_law(ch, x, a, pipe, tol=tol)
+                        assert law.atoms == le.atoms, (x, sorted(a), pipe)
+                        checked += 1
+        assert checked > 2000
+
+    @pytest.mark.parametrize("solve", [True, False], ids=["eliminated", "stepped"])
+    def test_fold_sees_stay_put_moves_only_when_stepped(self, monkeypatch, solve):
+        stays, exits = [], []
+
+        def spy(prefix, y, retained):
+            stays.append(prefix[-1:] == (y,))
+            exits.append(y == "d")
+            return fold_step(prefix, y, retained)
+
+        monkeypatch.setattr(exactlaw, "fold_step", spy)
+        kw = {"tol": Fraction(1, 10**9)} if solve else {"length_cap": 6}
+        enumerate_erasure_law(lazy_chain(), "a", {"d"}, "LE", **kw)
+        assert any(stays) != solve
+        assert not any(exits)
+
+    @pytest.mark.parametrize("solve", [True, False], ids=["eliminated", "stepped"])
+    def test_step_fn_sees_stay_put_moves_and_exits(self, solve):
+        stays, exits = [], []
+
+        def spy(prefix, y, retained):
+            stays.append(prefix[-1:] == (y,))
+            exits.append(y == "d")
+            return fold_step(prefix, y, retained)
+
+        kw = {"tol": Fraction(1, 10**9)} if solve else {"length_cap": 6}
+        law = enumerate_erasure_law(lazy_chain(), "a", {"d"}, "LE", step_fn=spy, **kw)
+        assert any(stays) and any(exits)
+        assert law == enumerate_erasure_law(lazy_chain(), "a", {"d"}, "LE", **kw)
+
+    def test_buggy_step_sees_self_loops(self, monkeypatch):
+        # the only revisits are self-loops: were they skipped for a step_fn,
+        # the broken erasure would go unseen and give LE's law
+        ch = build_chain("ab", [["1/2", "1/2"], ["0", "1"]], "rational")
+        tol = Fraction(1, 10**9)
+        le = enumerate_erasure_law(ch, "a", {"b"}, "LE", tol=tol)
+        assert le.atoms == {("a", "b"): 1} and le.tail_bound == 0
+        # the broken step keeps every self-loop, so its tower chain is
+        # infinite: with tol the elimination stops at the (lowered) guard
+        monkeypatch.setattr(exactlaw, "TOWER_GUARD", 50)
+        with pytest.raises(GuardError, match="50 towers"):
+            enumerate_erasure_law(ch, "a", {"b"}, "LE", tol=tol, step_fn=_buggy_ple_step)
+        bad = enumerate_erasure_law(ch, "a", {"b"}, "LE", length_cap=12, step_fn=_buggy_ple_step)
         assert tv_distance(le, bad) > le.tail_bound + bad.tail_bound
 
 
