@@ -1,9 +1,12 @@
 """Command line front end: one subcommand per experiment or verification.
 
 Configuration comes from an optional JSON file plus flags, with flags
-winning key by key.  Every run resolves an effective config, hashes it,
-and writes a JSON summary embedding the config, its hash, the seed, and
-a pass/fail flag per asserted check.  Tables go to CSV next to the
+winning key by key.  A config key is its flag's name with "-" as "_"
+(`-m` is `m`, `--from` is `start`, `-n` is `n`), and its default is
+written once, on the flag's declaration in `_build_parser`.  Every run
+resolves an effective config, hashes it, and writes a JSON summary
+embedding the config, its hash, the seed, and a pass/fail flag per
+asserted check.  Tables go to CSV next to the
 summary (with the config hash on a comment line); paths, laws, and
 graphs go to plain text kept byte-parseable by their readers, so those
 dumps stay diffable and the summary lists them by name.
@@ -94,80 +97,6 @@ def _buggy_ple_step(prefix: tuple, y, retained) -> tuple:
 # ---------------------------------------------------------------------------
 # Config plumbing
 
-DEFAULTS = {
-    "verify-theorem1": {
-        "seed": None,
-        "chain": None,
-        "chains": 0,
-        "states_max": 4,
-        "max_cases": 500,
-        "tol": 1e-9,
-        "length_cap": 12,
-        "out": None,
-        "inject_ple_bug": False,
-    },
-    "verify-green": {
-        "seed": None,
-        "identities": 200,
-        "permutations": 30,
-        "out": None,
-    },
-    "graph": {
-        "gasket": False,
-        "carpet": None,
-        "m": None,
-        "out": None,
-    },
-    "resist": {
-        "gasket": False,
-        "carpet": None,
-        "m": None,
-        "mode": "double",
-        "pair": "corners",
-        "band": None,
-        "out": None,
-    },
-    "converge": {
-        "what": "kernel",
-        "gasket": False,
-        "carpet": None,
-        "m": None,
-        "m_primes": None,
-        "corner": 0,
-        "pairs": None,
-        "start": None,
-        "to": None,
-        "n": 1000,
-        "seed": None,
-        "workers": 1,
-        "assert_decreasing": False,
-        "out": None,
-    },
-    "simulate": {
-        "gasket": False,
-        "carpet": None,
-        "m": None,
-        "start": None,
-        "to": None,
-        "n": 1000,
-        "pipeline": "le",
-        "seed": None,
-        "workers": 1,
-        "step_cap": STEP_CAP,
-        "out": None,
-    },
-    "exact-law": {
-        "chain": None,
-        "start": None,
-        "absorbing": None,
-        "pipeline": "le",
-        "length_cap": 40,
-        "tol": None,
-        "out": None,
-    },
-}
-
-
 def _load_json_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -182,18 +111,21 @@ def _load_json_config(path: str) -> dict:
     return cfg
 
 
-def _effective_config(name: str, args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[name])
+def _effective_config(args: argparse.Namespace) -> dict:
+    """The subcommand's defaults, then the config file's keys, then every
+    flag given.  The defaults come from the flag declarations; argparse
+    parses a flag left out as None."""
+    cfg = dict(args.defaults)
     if args.config:
         file_cfg = _load_json_config(args.config)
         unknown = set(file_cfg) - set(cfg)
         if unknown:
-            raise UsageError(f"unknown config keys for {name}: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key, val in vars(args).items():
-        if key in ("config", "cmd", "subcommand") or val is None:
-            continue
-        cfg[key] = val
+    for key in args.defaults:
+        val = getattr(args, key)
+        if val is not None:
+            cfg[key] = val
     return cfg
 
 
@@ -655,6 +587,7 @@ def _converge_coupled(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
+    step_cap = _count(cfg, "step_cap", least=1)
     level = _parse_level(cfg)
     kind, template = _family(cfg)
     graph = _family_graph(kind, level, template)
@@ -663,7 +596,7 @@ def _cmd_simulate(cfg: dict) -> int:
     targets = _target_vertices(cfg.get("to"), graph)
     pipeline = _parse_pipeline_levels(cfg.get("pipeline"), graph)
     n = int(cfg["n"])
-    config = WalkConfig(graph, seed, step_cap=int(cfg["step_cap"]))
+    config = WalkConfig(graph, seed, step_cap=step_cap)
     law = lerw_set_law(config, x, targets, n, pipeline)
     out = _out_dir(cfg)
     (out / "simulate_law.txt").write_text(set_law_to_text(law))
@@ -694,6 +627,7 @@ def _load_chain(cfg: dict) -> MarkovChain:
 
 
 def _cmd_exact_law(cfg: dict) -> int:
+    cap = _count(cfg, "length_cap", least=1)
     chain = _load_chain(cfg)
     states = set(chain.states)
     start = cfg.get("start") or chain.states[0]
@@ -717,7 +651,7 @@ def _cmd_exact_law(cfg: dict) -> int:
         start,
         absorbing,
         pipeline,
-        length_cap=int(cfg["length_cap"]),
+        length_cap=cap,
         tol=tol,
     )
     out = _out_dir(cfg)
@@ -769,20 +703,22 @@ def _equality_cases(chain: MarkovChain, rng: Random, max_cases: int) -> list:
     return cases[:max_cases]
 
 
-def _count(cfg: dict, key: str) -> int:
-    """cfg[key] as an instance count; a negative count raises UsageError."""
+def _count(cfg: dict, key: str, least: int = 0) -> int:
+    """cfg[key] as an integer; one below `least` raises UsageError.  Case
+    counts and caps take least=1: at 0 a verification passes with nothing
+    checked and a walk can take no step."""
     n = int(cfg[key])
-    if n < 0:
-        raise UsageError(f"--{key.replace('_', '-')} must not be negative, got {n}")
+    if n < least:
+        need = f"be at least {least}" if least else "not be negative"
+        raise UsageError(f"--{key.replace('_', '-')} must {need}, got {n}")
     return n
 
 
 def _cmd_verify_theorem1(cfg: dict) -> int:
     n_chains = _count(cfg, "chains")
     fuzzing = n_chains > 0 and cfg.get("chain") is None
-    max_cases = int(cfg["max_cases"])
-    if max_cases < 1:
-        raise UsageError(f"--max-cases must be at least 1, got {max_cases}")
+    max_cases = _count(cfg, "max_cases", least=1)
+    cap = _count(cfg, "length_cap", least=1)
     states_max = int(cfg["states_max"])
     if fuzzing and not 3 <= states_max <= 5:
         raise UsageError(f"--states-max must lie in 3..5 (fuzz chain sizes), got {states_max}")
@@ -791,12 +727,10 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     inject = bool(cfg.get("inject_ple_bug"))
     step_fn = _buggy_ple_step if inject else None
 
-    if cfg.get("chain") is not None:
-        chains = [_load_chain(cfg)]
-    elif fuzzing:
+    if fuzzing:
         chains = [dense_chain(rng, rng.randint(3, states_max)) for _ in range(n_chains)]
     else:
-        chains = [bundled_chain()]
+        chains = [_load_chain(cfg)]
 
     # a broken erasure keeps revisited states, so its tower chain is
     # infinite; verification under the injected bug therefore runs at the
@@ -804,7 +738,6 @@ def _cmd_verify_theorem1(cfg: dict) -> int:
     tol = None
     if not inject and cfg.get("tol") is not None:
         tol = Fraction(str(cfg["tol"]))
-    cap = int(cfg["length_cap"])
     checked = 0
     worst = None
     counterexample = None
@@ -931,100 +864,103 @@ def _cmd_verify_green(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(p: argparse.ArgumentParser, *flags: str):
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-    if "seed" in flags:
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-    if "workers" in flags:
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility and ignored: sampling runs in one thread")
-    if "mode" in flags:
-        p.add_argument("--mode", choices=["rational", "double"], help="numeric mode")
-    if "graph" in flags:
-        p.add_argument("--gasket", action="store_true", default=None,
-                       help="use the triangular family")
-        p.add_argument("--carpet", metavar="TEMPLATE",
-                       help='square family: "standard" or a template file')
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """The lerw parser.  Each option's default is written once, on its
+    flag, and recorded per subcommand as the parsed `defaults` dict;
+    argparse itself gets default None, so _effective_config can tell a
+    flag given from one left out."""
     parser = argparse.ArgumentParser(
         prog="lerw",
         description="Loop-erased walk laws: exact verification, sampling, and scaling runs.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    p = sub.add_parser("verify-theorem1",
-                       help="exact equality of erased and refined walk laws")
-    _add_common(p, "seed")
-    p.add_argument("--chain", help="chain text file (default: bundled example)")
-    p.add_argument("--chains", type=int, help="number of fuzzed chains instead")
-    p.add_argument("--states-max", type=int, dest="states_max", help="fuzz chain size cap")
-    p.add_argument("--max-cases", type=int, dest="max_cases",
-                   help="cases checked per chain")
-    p.add_argument("--tol", type=float, help="any positive value solves each law exactly (tail bound 0)")
-    p.add_argument("--length-cap", type=int, dest="length_cap")
-    p.add_argument("--inject-ple-bug", dest="inject_ple_bug", action="store_true", default=None,
-                   help="negative control: refine with a broken erasure step, expect FAIL")
-    p.set_defaults(cmd=_cmd_verify_theorem1)
+    def command(name: str, cmd, help: str, *common: str):
+        """Add a subcommand with --config, --out and the shared flags named
+        in common; return its option(*flags, default=..., **kw)."""
+        p = sub.add_parser(name, help=help)
+        defaults: dict = {}
+        p.set_defaults(cmd=cmd, defaults=defaults)
 
-    p = sub.add_parser("verify-green", help="visit-count identities, exact rational fuzz")
-    _add_common(p, "seed")
-    p.add_argument("--identities", type=int, help="identity instances")
-    p.add_argument("--permutations", type=int, help="permutation instances")
-    p.set_defaults(cmd=_cmd_verify_green)
+        def option(*flags, default=None, **kw):
+            defaults[p.add_argument(*flags, default=None, **kw).dest] = default
 
-    p = sub.add_parser("graph", help="export a level graph as text")
-    _add_common(p, "graph")
-    p.add_argument("-m", "--level", dest="m", help="level")
-    p.set_defaults(cmd=_cmd_graph)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        option("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
+        if "seed" in common:
+            option("--seed", type=int, help="64-bit master seed")
+        if "workers" in common:
+            option("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored: sampling runs in one thread")
+        if "mode" in common:
+            option("--mode", choices=["rational", "double"], default="double", help="numeric mode")
+        if "graph" in common:
+            option("--gasket", action="store_true", default=False,
+                   help="use the triangular family")
+            option("--carpet", metavar="TEMPLATE",
+                   help='square family: "standard" or a template file')
+        return option
 
-    p = sub.add_parser("resist", help="effective resistance scaling across levels")
-    _add_common(p, "mode", "graph")
-    p.add_argument("-m", "--levels", dest="m", help="level range, e.g. 1..4")
-    p.add_argument("--pair", help='probe pairs: "corners" or index pairs like 0-3,1-2')
-    p.add_argument("--band", type=float,
-                   help="assert successive ratios stay within this relative band")
-    p.set_defaults(cmd=_cmd_resist)
+    option = command("verify-theorem1", _cmd_verify_theorem1,
+                     "exact equality of erased and refined walk laws", "seed")
+    option("--chain", help="chain text file (default: bundled example)")
+    option("--chains", type=int, default=0, help="number of fuzzed chains instead")
+    option("--states-max", type=int, default=4, help="fuzz chain size cap")
+    option("--max-cases", type=int, default=500, help="cases checked per chain")
+    option("--tol", type=float, default=1e-9,
+           help="any positive value solves each law exactly (tail bound 0)")
+    option("--length-cap", type=int, default=12)
+    option("--inject-ple-bug", action="store_true", default=False,
+           help="negative control: refine with a broken erasure step, expect FAIL")
 
-    p = sub.add_parser("simulate", help="sample erased walk images into a set law")
-    _add_common(p, "seed", "workers", "graph")
-    p.add_argument("-m", "--level", dest="m", help="level")
-    p.add_argument("--from", dest="start", help="start vertex: q1..q4 or an index")
-    p.add_argument("--to", help="target vertices, comma separated")
-    p.add_argument("-n", "--samples", dest="n", type=int, help="sample count")
-    p.add_argument("--pipeline", help='"le" or nested stages like v0,v2')
-    p.add_argument("--step-cap", dest="step_cap", type=int, help="walk length guard")
-    p.set_defaults(cmd=_cmd_simulate)
+    option = command("verify-green", _cmd_verify_green,
+                     "visit-count identities, exact rational fuzz", "seed")
+    option("--identities", type=int, default=200, help="identity instances")
+    option("--permutations", type=int, default=30, help="permutation instances")
 
-    p = sub.add_parser("converge", help="kernel and coupled-image convergence tables")
-    _add_common(p, "seed", "workers", "graph")
-    p.add_argument("--what", choices=["kernel", "coupled"])
-    p.add_argument("-m", "--level", dest="m", help="traced vertex-set level (kernel)")
-    p.add_argument("--m-primes", dest="m_primes", help="walk levels, e.g. 1..4 (kernel)")
-    p.add_argument("--corner", type=int, help="killing corner index (kernel)")
-    p.add_argument("--pairs", help="stage:level pairs, e.g. 1:2,2:3 (coupled)")
-    p.add_argument("--from", dest="start", help="start vertex (coupled)")
-    p.add_argument("--to", help="target vertices (coupled)")
-    p.add_argument("-n", "--samples", dest="n", type=int, help="samples per pair (coupled)")
-    p.add_argument("--assert-decreasing", dest="assert_decreasing",
-                   action="store_true", default=None,
-                   help="fail unless the tabulated trend strictly decreases")
-    p.set_defaults(cmd=_cmd_converge)
+    option = command("graph", _cmd_graph, "export a level graph as text", "graph")
+    option("-m", "--level", dest="m", help="level")
 
-    p = sub.add_parser("exact-law", help="enumerate an erased-walk law exactly")
-    _add_common(p)
-    p.add_argument("--chain", help="chain text file (default: bundled example)")
-    p.add_argument("--start", help="start state")
-    p.add_argument("--absorbing", help="absorbing states, comma separated")
-    p.add_argument("--pipeline", help='"le" or stages like a,c;a,b,c,d')
-    p.add_argument("--length-cap", dest="length_cap", type=int)
-    p.add_argument(
+    option = command("resist", _cmd_resist, "effective resistance scaling across levels",
+                     "mode", "graph")
+    option("-m", "--levels", dest="m", help="level range, e.g. 1..4")
+    option("--pair", default="corners", help='probe pairs: "corners" or index pairs like 0-3,1-2')
+    option("--band", type=float,
+           help="assert successive ratios stay within this relative band")
+
+    option = command("simulate", _cmd_simulate, "sample erased walk images into a set law",
+                     "seed", "workers", "graph")
+    option("-m", "--level", dest="m", help="level")
+    option("--from", dest="start", help="start vertex: q1..q4 or an index")
+    option("--to", help="target vertices, comma separated")
+    option("-n", "--samples", dest="n", type=int, default=1000, help="sample count")
+    option("--pipeline", default="le", help='"le" or nested stages like v0,v2')
+    option("--step-cap", type=int, default=STEP_CAP, help="walk length guard")
+
+    option = command("converge", _cmd_converge, "kernel and coupled-image convergence tables",
+                     "seed", "workers", "graph")
+    option("--what", choices=["kernel", "coupled"], default="kernel")
+    option("-m", "--level", dest="m", help="traced vertex-set level (kernel)")
+    option("--m-primes", help="walk levels, e.g. 1..4 (kernel)")
+    option("--corner", type=int, default=0, help="killing corner index (kernel)")
+    option("--pairs", help="stage:level pairs, e.g. 1:2,2:3 (coupled)")
+    option("--from", dest="start", help="start vertex (coupled)")
+    option("--to", help="target vertices (coupled)")
+    option("-n", "--samples", dest="n", type=int, default=1000,
+           help="samples per pair (coupled)")
+    option("--assert-decreasing", action="store_true", default=False,
+           help="fail unless the tabulated trend strictly decreases")
+
+    option = command("exact-law", _cmd_exact_law, "enumerate an erased-walk law exactly")
+    option("--chain", help="chain text file (default: bundled example)")
+    option("--start", help="start state")
+    option("--absorbing", help="absorbing states, comma separated")
+    option("--pipeline", default="le", help='"le" or stages like a,c;a,b,c,d')
+    option("--length-cap", type=int, default=40)
+    option(
         "--tol", type=float,
         help="exact law (tail 0) if the last stage is full, else step until the tail meets this",
     )
-    p.set_defaults(cmd=_cmd_exact_law)
 
     return parser
 
@@ -1039,7 +975,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = _effective_config(args.subcommand, args)
+        cfg = _effective_config(args)
         return args.cmd(cfg)
     except (UsageError, ValueError, GuardError, StepCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)

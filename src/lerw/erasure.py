@@ -124,22 +124,6 @@ def fold_step(prefix: tuple, y, retained) -> tuple:
     return prefix + (y,)
 
 
-def erase_step(prefix: tuple, indices: tuple, t: int, y, retained: frozenset | None):
-    """fold_step that also carries the surviving input indices.
-
-    prefix/indices are the erasure of the input consumed so far, y is the
-    next state with input position t.  Returns the new (prefix, indices)
-    pair.  Folding this step over a path reproduces loop_erase /
-    partial_loop_erase, which the tests check.  The samplers do not fold:
-    they call those two erasures, which chase last visits through the
-    whole path at once.
-    """
-    out = fold_step(prefix, y, retained)
-    if len(out) > len(prefix):
-        return out, indices + (t,)
-    return out, indices[: len(out)]
-
-
 def partial_loop_erase(w: Sequence, retained: Iterable) -> ErasureResult:
     """Partial loop erasure, a pointer chase over the last-visit table.
 

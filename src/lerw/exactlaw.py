@@ -48,13 +48,17 @@ from .erasure import fold_step
 
 DELTA = "Δ"  # absorbing sink label used by traced kernels
 ENUM_STATE_GUARD = 8  # most chain states an enumeration accepts
-# Most towers an exact elimination may build.  The complete 8-state
-# digraph with one absorbing state is the worst support: "LE" needs 1,957
-# towers, the largest two-stage pipeline 717,169 (a first stage of three
-# states missing the start; solved in 28 s at 1.1 GB peak RSS on a 2-vCPU
-# Xeon) and three-stage pipelines with the start in the first stage at
-# most 334,502; 24 of the 30 three-stage classes whose first stage misses
-# the start need more than a million and raise GuardError.
+# Most towers an enumeration may build, on either route.  For the exact
+# elimination the complete 8-state digraph with one absorbing state is
+# the worst support: "LE" needs 1,957 towers, the largest two-stage
+# pipeline 717,169 (a first stage of three states missing the start;
+# solved in 28 s at 1.1 GB peak RSS on a 2-vCPU Xeon) and three-stage
+# pipelines with the start in the first stage at most 334,502; 24 of the
+# 30 three-stage classes whose first stage misses the start need more
+# than a million and raise GuardError.  The stepped route's towers can
+# grow exponentially in the steps (a stage retaining no transient state
+# keeps every path): on a 3-state chain with 9/10 self-loops and tol
+# 1/100 it reaches the guard in 10 s at 0.8 GB on that host.
 TOWER_GUARD = 1_000_000
 
 
@@ -474,11 +478,11 @@ def enumerate_erasure_law(
     law is exact and tail_bound is 0 whatever tol is; the order changes
     the cost only, and double laws that agree in exact arithmetic agree
     bit for bit.
-    A tower chain of more than TOWER_GUARD towers raises GuardError.
     Otherwise the mass is stepped forward one walk step at a time: for
     length_cap steps when tol is None, else until the mass still
     unabsorbed is at most tol.  tail_bound is that unabsorbed mass, a
-    certified bound on what the atoms miss.
+    certified bound on what the atoms miss.  On either route, building
+    more than TOWER_GUARD towers raises GuardError.
 
     A move into the absorbing set is fed to the innermost stage alone:
     the walk stops on entry, so no stage has consumed that state and no
@@ -554,6 +558,8 @@ def enumerate_erasure_law(
 
     def expand(sid: int) -> tuple:
         """One tower's weights {successor sid: w} and {final path: w}."""
+        if len(towers) > TOWER_GUARD:
+            raise GuardError(f"tower chain exceeds {TOWER_GUARD} towers")
         tw = towers[sid]
         here = at[sid]
         nxt: dict = {}
@@ -575,8 +581,6 @@ def enumerate_erasure_law(
     if solve:
         out, sinks = [], []
         while len(out) < len(towers):  # breadth-first: expand interns in order
-            if len(towers) > TOWER_GUARD:
-                raise GuardError(f"tower chain exceeds {TOWER_GUARD} towers")
             nxt, ends = expand(len(out))
             out.append(nxt)
             sinks.append(ends)

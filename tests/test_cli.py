@@ -19,6 +19,36 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+# Every subcommand's config keys and defaults, as one table held them
+# before the defaults moved onto the flag declarations: a dropped,
+# renamed or retyped key fails TestConfigPlumbing.
+CONFIG_SCHEMA = {
+    "verify-theorem1": {
+        "seed": None, "chain": None, "chains": 0, "states_max": 4, "max_cases": 500,
+        "tol": 1e-9, "length_cap": 12, "out": None, "inject_ple_bug": False,
+    },
+    "verify-green": {"seed": None, "identities": 200, "permutations": 30, "out": None},
+    "graph": {"gasket": False, "carpet": None, "m": None, "out": None},
+    "resist": {
+        "gasket": False, "carpet": None, "m": None, "mode": "double", "pair": "corners",
+        "band": None, "out": None,
+    },
+    "converge": {
+        "what": "kernel", "gasket": False, "carpet": None, "m": None, "m_primes": None,
+        "corner": 0, "pairs": None, "start": None, "to": None, "n": 1000, "seed": None,
+        "workers": 1, "assert_decreasing": False, "out": None,
+    },
+    "simulate": {
+        "gasket": False, "carpet": None, "m": None, "start": None, "to": None, "n": 1000,
+        "pipeline": "le", "seed": None, "workers": 1, "step_cap": 10_000_000, "out": None,
+    },
+    "exact-law": {
+        "chain": None, "start": None, "absorbing": None, "pipeline": "le", "length_cap": 40,
+        "tol": None, "out": None,
+    },
+}
+
+
 class TestGraph:
     def test_gasket_level2_export(self, tmp_path):
         assert main(["graph", "--gasket", "-m", "2", "--out", str(tmp_path)]) == 0
@@ -363,6 +393,22 @@ class TestExactLaw:
         assert len(law.atoms) == 5
         assert law.mode == "rational"
 
+    def test_stepped_route_stops_at_the_tower_guard(self, tmp_path, capsys, monkeypatch):
+        # a last stage retaining no transient state keeps every path, so
+        # the stepped route's towers double with each step; it used to run
+        # until the process ran out of memory
+        monkeypatch.setattr(lerw.exactlaw, "TOWER_GUARD", 20_000)
+        chain_file = tmp_path / "chain.txt"
+        chain_file.write_text("a b c\n9/10 1/20 1/20\n1/20 9/10 1/20\n0 0 1\n")
+        out = tmp_path / "out"
+        code = main(
+            ["exact-law", "--chain", str(chain_file), "--pipeline", "c", "--tol", "0.01",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "tower chain exceeds 20000 towers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_pipeline(self, tmp_path):
         code = main(
             ["exact-law", "--pipeline", "a,c;a,b,c,d", "--length-cap", "20",
@@ -552,6 +598,29 @@ class TestConfigPlumbing:
         assert main(["graph", "--gasket", "-m", "0"]) == 0
         assert (tmp_path / "envout" / "graph.json").exists()
 
+    def test_defaults_match_the_schema(self):
+        parser = lerw.cli._build_parser()
+        recorded = {name: parser.parse_args([name]).defaults for name in CONFIG_SCHEMA}
+
+        def typed(table):
+            return {n: {k: (type(v), v) for k, v in keys.items()} for n, keys in table.items()}
+
+        assert typed(recorded) == typed(CONFIG_SCHEMA)
+        assert sum(map(len, recorded.values())) == 56
+        assert CONFIG_SCHEMA["simulate"]["step_cap"] == lerw.cli.STEP_CAP
+
+    def test_config_hash_is_pinned(self, tmp_path):
+        assert main(["verify-green", "--seed", "1", "--identities", "1", "--permutations", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "verify_green.json")["config_hash"] == "bc4dd489d2d3875b"
+
+    def test_null_in_config_file_clears_a_default(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tol": None, "seed": 5, "max_cases": 5}))
+        out = tmp_path / "out"
+        assert main(["verify-theorem1", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert read_json(out / "verify_theorem1.json")["config"]["tol"] is None
+
     def test_workers_excluded_from_config_hash(self, tmp_path):
         hashes = []
         for w, name in ((1, "a"), (8, "b")):
@@ -594,4 +663,32 @@ class TestRefusedRunsLeaveNoOutput:
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-theorem1", "--inject-ple-bug", "--length-cap", "0"],
+            ["verify-theorem1", "--length-cap", "-3"],
+            ["exact-law", "--length-cap", "0"],
+            ["exact-law", "--length-cap", "-3"],
+            ["simulate", "--gasket", "-m", "2", "--to", "q2", "-n", "3", "--step-cap", "-5"],
+            ["simulate", "--gasket", "-m", "2", "--to", "q2", "-n", "3", "--step-cap", "0"],
+        ],
+        ids=["verify-theorem1-0", "verify-theorem1-neg", "exact-law-0", "exact-law-neg",
+             "simulate-neg", "simulate-0"],
+    )
+    def test_cap_below_one_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        # a length cap of 0 made every capped law empty with tail 1, so
+        # verify-theorem1 passed even its negative control and exact-law
+        # printed PASS on 0 atoms; a negative step cap failed every walk
+        def no_input(*args, **kwargs):
+            raise AssertionError("a chain or graph was built before the cap was checked")
+
+        monkeypatch.setattr(lerw.cli, "_load_chain", no_input)
+        monkeypatch.setattr(lerw.cli, "_family_graph", no_input)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        flag, value = argv[-2:]
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()

@@ -11,7 +11,6 @@ from lerw.erasure import (
     algorithm_one,
     algorithm_two,
     concat_paths,
-    erase_step,
     fold_step,
     loop_erase,
     loop_erase_array,
@@ -29,10 +28,8 @@ W = ("a", "b", "c", "d", "b", "e", "d")
 
 
 def fold_erase(w, retained):
-    prefix, indices = (w[0],), (0,)
-    for t in range(1, len(w)):
-        prefix, indices = erase_step(prefix, indices, t, w[t], retained)
-    return ErasureResult(prefix, indices)
+    """The erased path as a left fold of fold_step over w."""
+    return functools.reduce(lambda prefix, y: fold_step(prefix, y, retained), w[1:], (w[0],))
 
 
 paths = st.lists(st.integers(0, 5), min_size=1, max_size=40).map(tuple)
@@ -177,13 +174,13 @@ def test_fast_matches_naive_on_long_graph_walks():
 @settings(max_examples=300)
 @given(paths, small_sets)
 def test_fold_step_reproduces_ple(w, retained):
-    assert fold_erase(w, frozenset(retained)) == partial_loop_erase(w, retained)
+    assert fold_erase(w, frozenset(retained)) == partial_loop_erase(w, retained).path
 
 
 @settings(max_examples=300)
 @given(paths)
 def test_fold_step_reproduces_le(w):
-    assert fold_erase(w, None) == loop_erase(w)
+    assert fold_erase(w, None) == loop_erase(w).path
 
 
 def fold_step_reference(prefix, y, retained):

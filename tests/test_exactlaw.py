@@ -443,10 +443,24 @@ class TestExactElimination:
         pipe = [frozenset("ab"), frozenset(ch.states)]
         with pytest.raises(GuardError, match="50 towers"):
             enumerate_erasure_law(ch, "a", {"d"}, pipe, tol=Fraction(1, 10**9), step_fn=bad_step)
-        # the guard bounds the elimination only: the cap-12 time-stepping
-        # of the same broken step interns 91 towers and still returns
+        # the cap-12 time-stepping of the same broken step interns 91
+        # towers: the guard stops it too, and at 91 it returns
+        with pytest.raises(GuardError, match="50 towers"):
+            enumerate_erasure_law(ch, "a", {"d"}, pipe, length_cap=12, step_fn=bad_step)
+        monkeypatch.setattr(exactlaw, "TOWER_GUARD", 91)
         capped = enumerate_erasure_law(ch, "a", {"d"}, pipe, length_cap=12, step_fn=bad_step)
         assert capped.tail_bound > 0
+
+    def test_stepped_route_shares_the_tower_guard(self, monkeypatch):
+        # an empty stage keeps every path, so the stepped route's towers
+        # double with each step: without the guard this call runs until
+        # memory is exhausted; at 20,000 towers it stops in about 0.1 s
+        monkeypatch.setattr(exactlaw, "TOWER_GUARD", 20_000)
+        ch = build_chain(
+            "abc", [["9/10", "1/20", "1/20"], ["1/20", "9/10", "1/20"], ["0", "0", "1"]], "rational"
+        )
+        with pytest.raises(GuardError, match="20000 towers"):
+            enumerate_erasure_law(ch, "a", {"c"}, [frozenset()], tol=Fraction(1, 100))
 
 
 def pipeline_shapes(rng: Random, states: tuple, start, absorbing: frozenset) -> list:
