@@ -125,18 +125,27 @@ def template_to_text(template: CarpetTemplate) -> str:
 
 
 def template_from_text(text: str) -> CarpetTemplate:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
-    if not rows:
-        raise ValueError("empty template file")
-    k = int(rows[0])
+    """Read the form `template_to_text` writes: the side k on the first
+    line, then one kept cell per line as its 1-based column and row,
+    `i j`.  `#` starts a comment and blank lines are skipped.  A line of
+    another shape raises ValueError naming its line number."""
+    k = None
     cells = set()
-    for line in rows[1:]:
-        i, j = line.split()
-        cells.add((int(i), int(j)))
+    for number, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        try:
+            if k is None:
+                (k,) = map(int, fields)
+            else:
+                i, j = map(int, fields)
+                cells.add((i, j))
+        except ValueError:
+            want = "the side k" if k is None else "a kept cell as 'i j'"
+            raise ValueError(f"template line {number}: expected {want}, got {raw.strip()!r}") from None
+    if k is None:
+        raise ValueError("empty template file")
     return CarpetTemplate(k, frozenset(cells))
 
 

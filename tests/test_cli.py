@@ -1,6 +1,7 @@
 """Subcommand behavior: exits, outputs, determinism, config plumbing."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 from random import Random
@@ -470,6 +471,22 @@ class TestVerifyTheorem1:
         assert "--chains must not be negative, got -2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_chain_file_with_fuzzed_chains_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the file's chain alone was checked, and the run passed
+        chain_file = tmp_path / "chain.txt"
+        chain_file.write_text(chain_to_text(lerw.cli.bundled_chain()))
+        argv = ["verify-theorem1", "--chain", str(chain_file), "--seed", "1", "--max-cases", "5"]
+        assert main([*argv, "--chains", "0", "--out", str(tmp_path / "zero")]) == 0
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain was loaded")
+
+        monkeypatch.setattr(lerw.cli, "_load_chain", no_chain)
+        out = tmp_path / "out"
+        assert main([*argv, "--chains", "5", "--out", str(out)]) == 2
+        assert "--chain and --chains exclude each other" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("states_max", ["2", "0", "6"])
     def test_states_max_outside_range_exits_two(self, tmp_path, capsys, states_max):
         code = main(
@@ -692,3 +709,123 @@ class TestRefusedRunsLeaveNoOutput:
         flag, value = argv[-2:]
         assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestIntegerKeys:
+    # argv without the key, the key, its bad config-file value
+    BAD = [
+        (["exact-law"], "length_cap", None),
+        (["simulate", "--gasket", "-m", "1", "--to", "q2", "--seed", "1"], "n", 2.5),
+        (["simulate", "--gasket", "-m", "1", "--to", "q2", "--seed", "1"], "step_cap", "1e3"),
+        (["converge", "--gasket", "-m", "1", "--m-primes", "1..2"], "corner", "x"),
+        (["converge", "--what", "coupled", "--gasket", "--pairs", "1:2", "--seed", "1"], "n", True),
+        (["verify-theorem1", "--seed", "1"], "chains", "five"),
+        (["verify-theorem1", "--seed", "1", "--chains", "2"], "states_max", 4.5),
+        (["verify-theorem1", "--seed", "1"], "max_cases", [10]),
+        (["verify-theorem1", "--seed", "1"], "length_cap", False),
+        (["verify-green", "--seed", "1"], "identities", {"n": 1}),
+        (["verify-green", "--seed", "1"], "permutations", None),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, key, value", BAD, ids=[f"{argv[0]}-{key}" for argv, key, _ in BAD]
+    )
+    def test_non_integer_exits_two(self, tmp_path, capsys, monkeypatch, argv, key, value):
+        # null gave a TypeError traceback, 2.5 sampled 2 walks and "x"
+        # printed int()'s own message
+        def no_input(*args, **kwargs):
+            raise AssertionError("a chain or graph was built before the key was read")
+
+        for name in ("_load_chain", "_family_graph", "kernel_convergence", "dense_chain"):
+            monkeypatch.setattr(lerw.cli, name, no_input)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert f"config key {key} must be an integer, got {json.dumps(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_strings_and_integral_floats_are_read(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"identities": "3", "permutations": 2.0, "seed": 1}))
+        assert main(["verify-green", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "verify_green.json")
+        assert summary["results"] == {"identity_instances": 3, "permutation_instances": 2}
+        # the config is recorded, and hashed, as the file gave it
+        assert summary["config"]["identities"] == "3"
+        assert summary["config"]["permutations"] == 2.0
+
+
+class TestOutputContract:
+    RUNS = {
+        "graph": ["graph", "--gasket", "-m", "1"],
+        "resist": ["resist", "--gasket", "-m", "0..2", "--mode", "rational", "--band", "0.001"],
+        "resist-fail": ["resist", "--carpet", "standard", "-m", "1..3", "--band", "0.05"],
+        "converge-kernel": ["converge", "--gasket", "-m", "1", "--m-primes", "1..3"],
+        "converge-coupled": ["converge", "--what", "coupled", "--gasket", "--pairs", "1:2,2:3",
+                             "-n", "20", "--seed", "3"],
+        "simulate": ["simulate", "--gasket", "-m", "1", "--to", "q2", "-n", "20", "--seed", "3"],
+        "exact-law": ["exact-law", "--length-cap", "5"],
+        "verify-theorem1": ["verify-theorem1", "--seed", "3", "--max-cases", "10"],
+        "verify-theorem1-fail": ["verify-theorem1", "--inject-ple-bug", "--seed", "3",
+                                 "--max-cases", "10"],
+        "verify-green": ["verify-green", "--seed", "1", "--identities", "3", "--permutations", "2"],
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_directory_holds_the_summary_and_its_files(self, tmp_path, run):
+        argv = self.RUNS[run]
+        code = main([*argv, "--out", str(tmp_path)])
+        summary = read_json(tmp_path / f"{argv[0].replace('-', '_')}.json")
+        assert code == (0 if summary["pass"] else 1)
+        assert summary["pass"] is not run.endswith("-fail")
+        files = summary["files"]
+        assert ("counterexample" in files) is not summary["pass"]
+        if not summary["pass"]:
+            assert files["counterexample"] == "counterexample.json"
+        assert len(set(files.values())) == len(files)
+        assert {p.name for p in tmp_path.iterdir()} == {f"{argv[0].replace('-', '_')}.json", *files.values()}
+        for name in files.values():
+            if name.endswith(".csv"):
+                first = (tmp_path / name).read_text().splitlines()[0]
+                assert first == f"# config {summary['config_hash']}"
+
+
+class TestOutputBytes:
+    # sha256 of every file a run writes and of its stdout, for runs whose
+    # values are all exact; a refactor of the output code must keep them
+    PINNED = {
+        "graph": (
+            ["graph", "--gasket", "-m", "2"],
+            {
+                "graph.json": "27f2d6403a6b466e2ade19059c17a44b4f1489c115c5856d92402d51496142ba",
+                "graph_edges.txt": "c15af12fbf04940e33ac6b0679683b98cbd11aa5c1c9194b03580232650dfa77",
+                "graph_vertices.txt": "f7e6cdc3b1494e1bc00047502f8ee6e8dc75a0b7a4df1a549634202088388016",
+            },
+            "4d50c81adaf833813eb0ab77a9a19d33a0f8da1b80dc8bd8d4ef4e813f28e6a1",
+        ),
+        "exact-law": (
+            ["exact-law", "--tol", "1e-9"],
+            {
+                "exact_law.json": "43aa62ace3e7a9d1f7ca8d31a4046d3bdb5b928f9e4558e5837fbeb4eae8456c",
+                "exact_law.txt": "3c26dae41bbd1e8f34779c2a6199bf727a31c649852aed5e219518a41f68c2b7",
+            },
+            "4582383af05f34c464737424f27fd4f059493f151d481d1d055626c3e06663e7",
+        ),
+        "verify-theorem1": (
+            ["verify-theorem1", "--seed", "5", "--chains", "3", "--inject-ple-bug"],
+            {
+                "counterexample.json": "cdcad6ceadf9aa036afb5731fc7b9326b5fd27ba4b8d6f25cce3ccfe730a70ee",
+                "verify_theorem1.json": "46bfea341191009d340c21541ed12acc7585db662dead8e8fec562d7ec36b8b8",
+            },
+            "247f91a74470539d3da1d1e1fbd5a4241768e95eae56ea6749a06a9f7acec5e4",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_files_and_stdout_are_pinned(self, tmp_path, capsys, name):
+        argv, files, stdout = self.PINNED[name]
+        main([*argv, "--out", str(tmp_path)])
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == files
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout

@@ -267,6 +267,30 @@ class TestTemplates:
         t = standard_carpet()
         assert template_from_text(template_to_text(t)) == t
 
+    def test_text_format(self):
+        # the side, then one kept cell per line as column and row; "#"
+        # starts a comment
+        text = "# the standard carpet\n3\n\n" + "".join(
+            f"{i} {j}  # kept\n" for i in range(1, 4) for j in range(1, 4) if (i, j) != (2, 2)
+        )
+        assert template_from_text(text) == standard_carpet()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n1 1 1\n", "template line 2: expected a kept cell as 'i j', got '1 1 1'"),
+            ("# side\nthree\n1 1\n", "template line 2: expected the side k, got 'three'"),
+            ("3 3\n", "template line 1: expected the side k, got '3 3'"),
+            ("3\n1 1\n\n.#.\n", "template line 4: expected a kept cell as 'i j', got '.#.'"),
+            ("3\n1 x # cell\n", "template line 2: expected a kept cell as 'i j', got '1 x # cell'"),
+            ("# nothing\n\n", "empty template file"),
+        ],
+    )
+    def test_malformed_text_names_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            template_from_text(text)
+        assert str(info.value) == message
+
 
 class TestCarpet:
     def test_m0_square(self):
