@@ -7,20 +7,23 @@ exact; mode "double" keeps floats.  Paths are plain tuples of states.
 Sampling uses counter-based Philox streams keyed by (master_seed,
 trajectory_index), so trajectory i is the same bit-for-bit in whatever
 order trajectories are drawn.  The key is handed to Philox as is, with no
-entropy drawn from the OS.  Two loops draw trajectories, both in the
-calling thread and both reading row v's step as
-nbrs[v][bisect_right(cums[v], u)]: `_walk` draws one trajectory (every
-chain walk) in uniform blocks that grow from WALK_BLOCK_FIRST to
-WALK_BLOCK_MAX, so a short walk draws few uniforms it does not use, and
-`_walk_many` steps a pool of fractal graph walks from `limits` in
-lockstep, two steps per gather through a table of cell pairs in which
-targets absorb, and drops finished walkers from the pool once no
-trajectory is left to start, until the last walker ends.  It reads a
-graph from its CSR arrays (indptr, nbr): nbrs[v] is
-nbr[indptr[v]:indptr[v + 1]] and cums[v] is `_cum_row` of weights
-1/deg, and its paths come out as np.intp arrays.  A stream's uniforms
-come out in order whatever the block sizes, so a trajectory is the same
-bit for bit in either loop.
+entropy drawn from the OS.  Row v steps to nbrs[v][bisect_right(cums[v],
+u)] for a uniform u.  Both loops read that step from a table over the
+cells of [0, 1) between the rows' merged cumulative weights (`_cells`),
+on each of which every row's step is constant (a chain with more cells
+than states bisects instead), and both run in the calling thread.
+`_walk` draws one trajectory (every chain walk) in uniform blocks that
+grow from WALK_BLOCK_FIRST to WALK_BLOCK_MAX, so a short walk draws few
+uniforms it does not use; it finds each block's cells with one
+searchsorted and steps with step[v][k].  `_walk_many` steps a pool of
+fractal graph walks from `limits` in lockstep, two steps per gather
+through a table of cell pairs in which targets absorb, and drops
+finished walkers from the pool once no trajectory is left to start,
+until the last walker ends.  It reads a graph from its CSR arrays
+(indptr, nbr): nbrs[v] is nbr[indptr[v]:indptr[v + 1]] and cums[v] is
+`_cum_row` of weights 1/deg, and its paths come out as np.intp arrays.
+A stream's uniforms come out in order whatever the block sizes, so a
+trajectory is the same bit for bit in either loop.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Sequence
 
@@ -284,13 +288,45 @@ def _cum_row(weights) -> list:
     return cums.tolist()
 
 
+def _cells(rows, most: int | None = None):
+    """(cuts, cols): the cells of [0, 1) on which every row's step is constant.
+
+    rows are cumulative lists as `_cum_row` makes them, and a row steps to
+    its entry bisect_right(row, u) for a uniform u.  cuts is the sorted
+    array of the rows' values below 1.0, and u lies in cell
+    k = searchsorted(cuts, u, "right") of len(cuts) + 1 cells.  cols[r][k]
+    is bisect_right(rows[r], low_k), with low_k the cell's left end (0.0,
+    then each cut): a row's value below 1.0 is <= u iff it is <= low_k,
+    and u < 1.0 is below every other, so each u in the cell bisects the
+    same.  None when there would be more than `most` cells.
+    """
+    cuts = sorted({c for row in rows for c in row if c < 1.0})
+    if most is not None and len(cuts) >= most:
+        return None
+    lows = [0.0, *cuts]
+    return np.array(cuts), [[bisect_right(row, u) for u in lows] for row in rows]
+
+
+def _walk_tables(nbrs, cums) -> tuple:
+    """(nbrs, cums, cuts, step) for `_walk`: rows' support indices and
+    cumulative weights, and step[v][k] = nbrs[v][bisect_right(cums[v],
+    u)] for every u in cell k of cuts (`_cells`).  With more cells than
+    rows the table would outgrow the chain's n × n kernel, so cuts and
+    step are None and the walk bisects each row."""
+    table = _cells(cums, most=len(cums))
+    if table is None:
+        return nbrs, cums, None, None
+    cuts, cols = table
+    return nbrs, cums, cuts, [[row[k] for k in ks] for row, ks in zip(nbrs, cols)]
+
+
 def _row_tables(chain: MarkovChain) -> tuple:
-    """(nbrs, cums): per-row support indices and their cumulative weights."""
+    """`_walk_tables` of the chain's rows, cached on the chain."""
     tables = getattr(chain, "_row_tables", None)
     if tables is None:
         nbrs = [[j for j, p in enumerate(row) if p > 0] for row in chain.kernel]
         cums = [_cum_row([float(row[j]) for j in js]) for row, js in zip(chain.kernel, nbrs)]
-        tables = (nbrs, cums)
+        tables = _walk_tables(nbrs, cums)
         object.__setattr__(chain, "_row_tables", tables)
     return tables
 
@@ -306,16 +342,19 @@ def _entry_tables(chain: MarkovChain, targets: frozenset) -> tuple:
     return cache[targets]
 
 
-def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap: int) -> list:
+def _walk(tables, start: int, is_target, rng: np.random.Generator, step_cap: int) -> list:
     """Indices of one walk from `start` until it enters a flagged index.
 
-    Row v steps to nbrs[v][bisect_right(cums[v], u)] for a uniform u.  The
+    tables are `_walk_tables`: each block of uniforms becomes cells with
+    one searchsorted over cuts, and row v steps to step[v][k] on cell k,
+    which is nbrs[v][bisect_right(cums[v], u)] for the uniform u.  Without
+    a cell table (more cells than rows) each step bisects its row.  The
     path keeps both endpoints; step_cap steps without entry raise
     StepCapExceeded.  Chain walks run this loop; graph walks run
-    `_walk_many`.  Uniforms are drawn in blocks of
-    WALK_BLOCK_FIRST, doubling up to WALK_BLOCK_MAX, and never past the
-    step cap.
+    `_walk_many`.  Uniforms are drawn in blocks of WALK_BLOCK_FIRST,
+    doubling up to WALK_BLOCK_MAX, and never past the step cap.
     """
+    nbrs, cums, cuts, step = tables
     v = start
     path = [v]
     if is_target[v]:
@@ -325,14 +364,21 @@ def _walk(nbrs, cums, start: int, is_target, rng: np.random.Generator, step_cap:
     while left > 0:
         # the stream's uniforms come out in order whatever the block
         # sizes, so they only affect speed
-        us = rng.random(min(size, left)).tolist()
+        us = rng.random(min(size, left))
         left -= len(us)
         size = min(2 * size, WALK_BLOCK_MAX)
-        for u in us:
-            v = nbrs[v][bisect_right(cums[v], u)]
-            path.append(v)
-            if is_target[v]:
-                return path
+        if step is not None:
+            for k in cuts.searchsorted(us, "right").tolist():
+                v = step[v][k]
+                path.append(v)
+                if is_target[v]:
+                    return path
+        else:
+            for u in us.tolist():
+                v = nbrs[v][bisect_right(cums[v], u)]
+                path.append(v)
+                if is_target[v]:
+                    return path
     raise StepCapExceeded(f"no entry into targets within {step_cap} steps")
 
 
@@ -346,8 +392,8 @@ def _pair_table(indptr, nbr, flags) -> tuple:
     indptr and nbr are a graph's CSR arrays (each row's neighbours
     sorted), and a row of degree d steps to its neighbour
     bisect_right(_cum_row(np.full(d, 1.0) / d), u) for a uniform u, as
-    `_walk` steps the graph's walk chain.  cuts is the sorted union of
-    those cumulative lists below 1.0, and u in [0, 1) lies in cell
+    `_walk` steps the graph's walk chain.  cuts are `_cells` of those
+    cumulative lists, one per degree, and u in [0, 1) lies in cell
     k = (cuts <= u).sum() of width = len(cuts) + 1 cells, on each of
     which every row's step is constant.  Flagged rows are made absorbing
     (every cell stays put), so a walk that has entered one is still on
@@ -359,13 +405,12 @@ def _pair_table(indptr, nbr, flags) -> tuple:
     """
     n = len(indptr) - 1
     deg = np.diff(indptr)
-    cums = {d: _cum_row(np.full(d, 1.0) / d) for d in np.unique(deg[deg > 0]).tolist()}
-    merged = sorted({c for row in cums.values() for c in row})
-    width = len(merged)
-    lows = [0.0, *merged[:-1]]  # the left end of each cell
+    degs = np.unique(deg[deg > 0]).tolist()
+    cuts, by_degree = _cells([_cum_row(np.full(d, 1.0) / d) for d in degs])
+    width = len(cuts) + 1
     cols = np.zeros((deg.max() + 1, width), dtype=np.intp)  # cell -> neighbour offset, by degree
-    for d, row in cums.items():
-        cols[d] = [bisect_right(row, u) for u in lows]
+    for d, ks in zip(degs, by_degree):
+        cols[d] = ks
     one = np.repeat(np.arange(n)[:, None], width, axis=1)
     live = np.flatnonzero((deg > 0) & ~flags)
     one[live] = nbr[indptr[live, None] + cols[deg[live]]]
@@ -375,7 +420,6 @@ def _pair_table(indptr, nbr, flags) -> tuple:
     firsts = np.repeat(one, width, axis=1)
     mid[:, : width * width] = firsts
     pair[:, : width * width] = one[firsts, np.tile(np.arange(width), width)] << shift
-    cuts = np.array(merged[:-1])
     return cuts, width, shift, pair.reshape(-1), mid.reshape(-1)
 
 
@@ -493,7 +537,9 @@ def sample_until_entry(
 ) -> tuple:
     """One trajectory from `start` until it enters `targets`.
 
-    The returned path includes both endpoints.  Raises ValueError when
+    The walk runs on the chain's cached `_row_tables` (`_walk`), and its
+    index path maps to states in one itemgetter call.  The returned path
+    is a tuple of states including both endpoints.  Raises ValueError when
     absorption is not almost sure from the start state, and
     StepCapExceeded if the walk outlives step_cap (a safety net, not a
     truncation: no partial path is returned).
@@ -501,6 +547,7 @@ def sample_until_entry(
     closure, is_target = _entry_tables(chain, frozenset(targets))
     if start not in closure:
         raise ValueError(f"entry into targets is not almost sure from {start!r}")
-    nbrs, cums = _row_tables(chain)
-    path = _walk(nbrs, cums, chain.index(start), is_target, rng, step_cap)
-    return tuple(map(chain.states.__getitem__, path))
+    path = _walk(_row_tables(chain), chain.index(start), is_target, rng, step_cap)
+    if len(path) == 1:  # itemgetter of one index returns the item, not a tuple
+        return (chain.states[path[0]],)
+    return itemgetter(*path)(chain.states)

@@ -51,6 +51,7 @@ from .exactlaw import (
     tv_distance,
 )
 from .fractal import (
+    _drawn_row_note,
     corner_indices,
     graph_to_text,
     standard_carpet,
@@ -135,21 +136,26 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _count(cfg: dict, key: str, least: int | None = None) -> int:
-    """cfg[key] as an integer: an int, an integral float or an integer
-    string (a config file's "500" stays a string in the summary).  Any
-    other value, null and bools included, or one below `least` raises
-    UsageError.  Counts and caps take least=1: at 0 a verification passes
-    with nothing checked and a walk can take no step."""
-    v = cfg[key]
+def _integer(v, key: str) -> int:
+    """v as an integer: an int, an integral float or an integer string.
+    Any other value, null and bools included, raises UsageError naming
+    the config key."""
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     try:
         if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise ValueError
-        n = int(v)
+        return int(v)
     except ValueError:
         raise UsageError(f"config key {key} must be an integer, got {json.dumps(v)}")
+
+
+def _count(cfg: dict, key: str, least: int | None = None) -> int:
+    """cfg[key] by `_integer` (a config file's "500" stays a string in the
+    summary); one below `least` raises UsageError.  Counts and caps take
+    least=1: at 0 a verification passes with nothing checked and a walk
+    can take no step."""
+    n = _integer(cfg[key], key)
     if least is not None and n < least:
         need = f"be at least {least}" if least else "not be negative"
         raise UsageError(f"--{key.replace('_', '-')} must {need}, got {n}")
@@ -283,37 +289,33 @@ def _template(spec: str):
     template = template_from_text(text)
     problems = validate_carpet_template(template)
     if problems:
-        raise UsageError("invalid carpet template: " + "; ".join(problems))
+        raise UsageError("invalid carpet template: " + "; ".join(problems) + _drawn_row_note(text))
     return template
 
 
 def _parse_level(cfg: dict) -> int:
-    m = cfg.get("m")
-    if m is None:
+    if cfg.get("m") is None:
         raise UsageError("a level is required (-m)")
-    try:
-        return int(m)
-    except (TypeError, ValueError):
-        raise UsageError(f"level must be an integer, got {m!r}")
+    return _count(cfg, "m")
 
 
-def _parse_level_range(text) -> list:
-    if text is None:
+def _parse_level_range(cfg: dict, key: str) -> list:
+    """cfg[key] as sorted distinct levels: one level by `_integer`, a list
+    of them, or a string such as 3, 1..4 or 1,2,4."""
+    spec = cfg.get(key)
+    if spec is None:
         raise UsageError("a level range is required")
-    if isinstance(text, int):
-        return [text]
-    if isinstance(text, list):
-        return sorted({int(v) for v in text})
-    s = str(text)
+    if isinstance(spec, list):
+        return sorted({_integer(v, key) for v in spec})
+    if not isinstance(spec, str):
+        return [_integer(spec, key)]
     try:
-        if ".." in s:
-            lo, hi = s.split("..")
+        if ".." in spec:
+            lo, hi = spec.split("..")
             return list(range(int(lo), int(hi) + 1))
-        if "," in s:
-            return sorted({int(v) for v in s.split(",")})
-        return [int(s)]
+        return sorted({int(v) for v in spec.split(",")})
     except ValueError:
-        raise UsageError(f"bad level range {text!r}; use forms like 3, 1..4, or 1,2,4")
+        raise UsageError(f"bad level range {spec!r}; use forms like 3, 1..4, or 1,2,4")
 
 
 def _corner_vertex(token, graph) -> int:
@@ -402,7 +404,7 @@ def _parse_pairs(spec) -> list | None:
 
 
 def _cmd_resist(cfg: dict) -> int:
-    levels = _parse_level_range(cfg.get("m"))
+    levels = _parse_level_range(cfg, "m")
     kind, template = _family(cfg)
     band = cfg.get("band")
     res = resistance_scaling(
@@ -490,7 +492,7 @@ def _trend_verdict(cfg: dict, check: str, values: list, located) -> tuple:
 
 def _converge_kernel(cfg: dict) -> int:
     m = _parse_level(cfg)
-    m_primes = _parse_level_range(cfg.get("m_primes"))
+    m_primes = _parse_level_range(cfg, "m_primes")
     _check_trend(cfg, max(len(m_primes) - 1, 0), "kernel differences of successive m' levels")
     corner = _count(cfg, "corner")
     kind, template = _family(cfg)

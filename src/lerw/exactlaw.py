@@ -55,11 +55,18 @@ ENUM_STATE_GUARD = 8  # most chain states an enumeration accepts
 # solved in 28 s at 1.1 GB peak RSS on a 2-vCPU Xeon) and three-stage
 # pipelines with the start in the first stage at most 334,502; 24 of the
 # 30 three-stage classes whose first stage misses the start need more
-# than a million and raise GuardError.  The stepped route's towers can
-# grow exponentially in the steps (a stage retaining no transient state
-# keeps every path): on a 3-state chain with 9/10 self-loops and tol
-# 1/100 it reaches the guard in 10 s at 0.8 GB on that host.
+# than a million and raise GuardError.
 TOWER_GUARD = 1_000_000
+# Most states the stepped route's interned towers may hold in their last
+# stages' paths, summed over the towers.  Those paths are the part of a
+# tower that grows with the steps (a checkpoint holds a state at most once
+# and points at an earlier tower's partial), and their number can grow
+# exponentially in the steps (a stage retaining no transient state keeps
+# every path).  On a 3-state chain with 9/10 self-loops, pipeline
+# [frozenset()] and tol 1/100, TOWER_GUARD came at 0.8 GB after 10 s on
+# that host; this bound stops it at 1.3-1.9 s and 240 MB peak RSS.  The
+# test suite's stepped laws hold at most 2,383 states.
+TOWER_STATE_GUARD = 5_000_000
 
 
 class GuardError(RuntimeError):
@@ -482,7 +489,9 @@ def enumerate_erasure_law(
     length_cap steps when tol is None, else until the mass still
     unabsorbed is at most tol.  tail_bound is that unabsorbed mass, a
     certified bound on what the atoms miss.  On either route, building
-    more than TOWER_GUARD towers raises GuardError.
+    more than TOWER_GUARD towers raises GuardError, and on the stepped
+    route so do towers whose last-stage paths hold more than
+    TOWER_STATE_GUARD states in all.
 
     A move into the absorbing set is fed to the innermost stage alone:
     the walk stops on entry, so no stage has consumed that state and no
@@ -543,14 +552,18 @@ def enumerate_erasure_law(
     ids: dict = {}
     towers: list = []
     at: list = []  # chain index of each tower's current state
+    held = 0  # states in the stepped route's last-stage paths
 
     def intern(tw, j: int) -> int:
+        nonlocal held
         sid = ids.get(tw)
         if sid is None:
             sid = len(towers)
             ids[tw] = sid
             towers.append(tw)
             at.append(j)
+            if not solve:
+                held += len(_tower_final(tw, depth))
         return sid
 
     own = step_fn is None
@@ -560,6 +573,8 @@ def enumerate_erasure_law(
         """One tower's weights {successor sid: w} and {final path: w}."""
         if len(towers) > TOWER_GUARD:
             raise GuardError(f"tower chain exceeds {TOWER_GUARD} towers")
+        if held > TOWER_STATE_GUARD:
+            raise GuardError(f"towers hold more than {TOWER_STATE_GUARD} path states")
         tw = towers[sid]
         here = at[sid]
         nxt: dict = {}

@@ -124,11 +124,24 @@ def template_to_text(template: CarpetTemplate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _drawn_row_note(text: str) -> str:
+    """A note naming the first line made of two or more `#` and `.`
+    characters only, a row of a drawn grid, or "" when there is none.  `#`
+    starts a comment, so such a grid's rows are never read as cells."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if len(line) > 1 and line[0] == "#" and not line.strip("#."):
+            return (f"; line {number} {line!r} is a comment: a template lists each kept cell"
+                    " as its column and row, 'i j', not as a drawn grid")
+    return ""
+
+
 def template_from_text(text: str) -> CarpetTemplate:
     """Read the form `template_to_text` writes: the side k on the first
     line, then one kept cell per line as its 1-based column and row,
     `i j`.  `#` starts a comment and blank lines are skipped.  A line of
-    another shape raises ValueError naming its line number."""
+    another shape raises ValueError naming its line number; a refusal of a
+    text holding a drawn grid row also names that row (`_drawn_row_note`)."""
     k = None
     cells = set()
     for number, raw in enumerate(text.splitlines(), 1):
@@ -143,9 +156,11 @@ def template_from_text(text: str) -> CarpetTemplate:
                 cells.add((i, j))
         except ValueError:
             want = "the side k" if k is None else "a kept cell as 'i j'"
-            raise ValueError(f"template line {number}: expected {want}, got {raw.strip()!r}") from None
+            raise ValueError(
+                f"template line {number}: expected {want}, got {raw.strip()!r}{_drawn_row_note(text)}"
+            ) from None
     if k is None:
-        raise ValueError("empty template file")
+        raise ValueError("empty template file" + _drawn_row_note(text))
     return CarpetTemplate(k, frozenset(cells))
 
 

@@ -1,5 +1,6 @@
 """Chain construction, serialization, reachability, and sampling."""
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -22,6 +23,7 @@ from lerw.chain import (
     _philox_key,
     _row_tables,
     _walk,
+    _walk_tables,
     build_chain,
     chain_from_text,
     chain_to_text,
@@ -29,7 +31,14 @@ from lerw.chain import (
     sample_until_entry,
     trajectory_stream,
 )
-from lerw.fractal import carpet_graph, corner_indices, standard_carpet, uniform_network
+from lerw.fractal import (
+    adjacency_arrays,
+    carpet_graph,
+    corner_indices,
+    gasket_graph,
+    standard_carpet,
+    uniform_network,
+)
 from lerw.network import walk_from_network
 
 from _gen import dense_chain, sparse_chain
@@ -231,6 +240,12 @@ def _walk_one_uniform_per_step(nbrs, cums, start, is_target, rng):
     return path
 
 
+def _bisect_route(tables):
+    """The same rows without their cell table: every step bisects its row."""
+    nbrs, cums = tables[:2]
+    return nbrs, cums, None, None
+
+
 class TestUniformBlocks:
     EDGES = (64, 192, 448, 960)  # steps drawn by the first one to four blocks
 
@@ -243,15 +258,17 @@ class TestUniformBlocks:
         g = carpet_graph(standard_carpet(), m)
         c = corner_indices(g)
         chain = walk_from_network(uniform_network(g, "double"))
-        nbrs, cums = _row_tables(chain)
+        tables = _row_tables(chain)
+        assert tables[3] is not None  # six cells on carpet walk chains
+        nbrs, cums = tables[:2]
         is_target = [i == c[-1] for i in range(chain.n)]
         steps = []
         for i in range(count):
-            got = _walk(nbrs, cums, c[0], is_target, trajectory_stream(23, i), 10**7)
             want = _walk_one_uniform_per_step(nbrs, cums, c[0], is_target, trajectory_stream(23, i))
-            assert got == want, i
-            assert sample_until_entry(chain, c[0], [c[-1]], trajectory_stream(23, i)) == tuple(got)
-            steps.append(len(got) - 1)
+            for route in (tables, _bisect_route(tables)):
+                assert _walk(route, c[0], is_target, trajectory_stream(23, i), 10**7) == want, i
+            assert sample_until_entry(chain, c[0], [c[-1]], trajectory_stream(23, i)) == tuple(want)
+            steps.append(len(want) - 1)
         assert max(steps) > self.EDGES[-1]
         if m == 2:
             # some walk ends in each of the first five blocks, and one on
@@ -265,11 +282,116 @@ class TestUniformBlocks:
         # a line 0 -> 1 -> ... -> length needs exactly `length` steps
         nbrs = [[v + 1] for v in range(length)] + [[length]]
         cums = [[1.0]] * (length + 1)
+        tables = _walk_tables(nbrs, cums)
         is_target = [False] * length + [True]
-        path = _walk(nbrs, cums, 0, is_target, trajectory_stream(0, length), length)
-        assert path == list(range(length + 1))
-        with pytest.raises(StepCapExceeded):
-            _walk(nbrs, cums, 0, is_target, trajectory_stream(0, length), length - 1)
+        for route in (tables, _bisect_route(tables)):
+            path = _walk(route, 0, is_target, trajectory_stream(0, length), length)
+            assert path == list(range(length + 1))
+            with pytest.raises(StepCapExceeded):
+                _walk(route, 0, is_target, trajectory_stream(0, length), length - 1)
+
+
+def _three_state(b_row):
+    # x and yy move on rational rows; z absorbs
+    return build_chain(["x", "yy", "z"], [["1/3", "1/3", "1/3"], b_row, ["0", "0", "1"]])
+
+
+class TestCellTable:
+    @staticmethod
+    def assert_cells_step_like_bisect(tables):
+        nbrs, cums, cuts, step = tables
+        assert len(step) == len(nbrs) and all(len(row) == len(cuts) + 1 for row in step)
+        # each cell's left end, and the float just below each cut
+        lows = [0.0, *cuts.tolist()]
+        below = np.nextafter(cuts, 0.0).tolist()
+        for us, ks in ((lows, range(len(lows))), (below, range(len(below)))):
+            assert cuts.searchsorted(us, "right").tolist() == list(ks)
+            for v, row in enumerate(step):
+                assert [row[k] for k in ks] == [nbrs[v][bisect_right(cums[v], u)] for u in us], v
+
+    @pytest.mark.parametrize(
+        "graph, width", [(gasket_graph(3), 4), (carpet_graph(standard_carpet(), 2), 6)], ids=["gasket", "carpet"]
+    )
+    def test_graph_walk_chain_cells(self, graph, width):
+        tables = _row_tables(walk_from_network(uniform_network(graph, "double")))
+        assert len(tables[2]) + 1 == width
+        self.assert_cells_step_like_bisect(tables)
+
+    def test_rational_rows(self):
+        # cuts 1/3, 2/3, 2/7 and 6/7 make five cells, more than the three
+        # states, so the chain has no table; six rows may hold one
+        ch = _three_state(["2/7", "4/7", "1/7"])
+        nbrs, cums = _row_tables(ch)[:2]
+        tables = _walk_tables(nbrs * 2, cums * 2)
+        assert len(tables[2]) == 4
+        self.assert_cells_step_like_bisect(tables)
+
+    def test_table_never_outgrows_the_kernel(self):
+        # three cells on three states use the table; five fall back
+        table_chain = _three_state(["1/3", "2/3", "0"])
+        bisect_chain = _three_state(["2/7", "4/7", "1/7"])
+        assert len(_row_tables(table_chain)[3][0]) == 3
+        assert _row_tables(bisect_chain)[2:] == (None, None)
+        rng = Random(5)
+        routes = set()
+        for _ in range(60):
+            n = rng.randint(3, 6)
+            ch = dense_chain(rng, n, den=rng.choice([n, n + 1, 2 * n]))
+            step = _row_tables(ch)[3]
+            routes.add(step is None)
+            assert step is None or len(step) * len(step[0]) <= ch.n * ch.n
+        assert routes == {True, False}
+
+    def test_bisect_route_walks_equal_reference(self):
+        ch = _three_state(["2/7", "4/7", "1/7"])
+        nbrs, cums = _row_tables(ch)[:2]
+        is_target = [False, False, True]
+        for i in range(200):
+            want = _walk_one_uniform_per_step(nbrs, cums, 1, is_target, trajectory_stream(3, i))
+            got = sample_until_entry(ch, "yy", {"z"}, trajectory_stream(3, i))
+            assert got == tuple(ch.states[v] for v in want), i
+
+    def test_string_state_paths_are_pinned(self):
+        # as drawn by `tuple(map(states.__getitem__, path))` and one
+        # bisect per step; the first chain walks by bisection, the second
+        # through its cell table
+        for b_row, want in (
+            (["2/7", "4/7", "1/7"], ["yz", "yyyyxyxyxxxz", "yyyyyyyyz"]),
+            (["1/3", "2/3", "0"], ["yyxyyyyxyxyyxz", "yyyyxyxyxxxz", "yyyyyyyyyxz"]),
+        ):
+            ch = _three_state(b_row)
+            got = [sample_until_entry(ch, "yy", {"z"}, trajectory_stream(3, i)) for i in range(3)]
+            assert got == [tuple("yy" if a == "y" else a for a in w) for w in want]
+            assert all(type(p) is tuple for p in got)
+            one = sample_until_entry(ch, "z", {"z"}, trajectory_stream(3, 0))
+            assert one == ("z",) and one[0] is ch.states[2]
+
+    @pytest.mark.parametrize(
+        "graph, pair_sha, mid_sha",
+        [
+            (
+                gasket_graph(3),
+                "74e6f718b1cf5cd4a4d2c0315ef617058523afe0f469186b4b963eca6f3d4c93",
+                "895dfa8fce4422bff7fd9311e1c2d28498afb15fb63c8744b4dece05520b8538",
+            ),
+            (
+                carpet_graph(standard_carpet(), 3),
+                "93fd85820bd51b5f293cacd1d63e148b8c8bc3d4f4751b5f6f4351785c37ce84",
+                "f1692d1bcbd9e6e9928aea82773a414cada4d25cb8338febf85f76c6ad245940",
+            ),
+        ],
+        ids=["gasket_m3", "carpet_m3"],
+    )
+    def test_pair_table_bytes_are_pinned(self, graph, pair_sha, mid_sha):
+        # digests of the table as built before the cells were shared with
+        # chain walks; corners after the first are the targets
+        indptr, nbr = adjacency_arrays(graph)
+        flags = np.zeros(graph.n, dtype=bool)
+        flags[list(corner_indices(graph)[1:])] = True
+        pair, mid = _pair_table(indptr, nbr, flags)[3:]
+        assert (pair.dtype, mid.dtype) == (np.dtype(np.intp), np.dtype(np.uint16))
+        assert hashlib.sha256(pair.tobytes()).hexdigest() == pair_sha
+        assert hashlib.sha256(mid.tobytes()).hexdigest() == mid_sha
 
 
 class TestStreams:

@@ -66,6 +66,20 @@ class TestGraph:
         assert main(["graph", "--carpet", str(tfile), "-m", "1", "--out", str(out)]) == 0
         assert read_json(out / "graph.json")["results"]["vertices"] == 16
 
+    def test_drawn_template_names_its_first_row(self, tmp_path, capsys):
+        # "#" starts a comment, so a drawn grid keeps the side and no cell
+        tfile = tmp_path / "grid.txt"
+        tfile.write_text("3\n###\n#.#\n###\n")
+        out = tmp_path / "o"
+        assert main(["graph", "--carpet", str(tfile), "-m", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid carpet template: cell count 0 outside [8, 8]" in err
+        assert "line 2 '###' is a comment: a template lists each kept cell as its column and row, 'i j'" in err
+        assert not out.exists()
+        # a valid template keeps its message-free comments
+        tfile.write_text("####\n" + template_to_text(standard_carpet()))
+        assert main(["graph", "--carpet", str(tfile), "-m", "1", "--out", str(out)]) == 0
+
     def test_requires_exactly_one_family(self, tmp_path, capsys):
         assert main(["graph", "-m", "1", "--out", str(tmp_path)]) == 2
         assert "gasket" in capsys.readouterr().err
@@ -725,6 +739,9 @@ class TestIntegerKeys:
         (["verify-theorem1", "--seed", "1"], "length_cap", False),
         (["verify-green", "--seed", "1"], "identities", {"n": 1}),
         (["verify-green", "--seed", "1"], "permutations", None),
+        (["graph", "--gasket"], "m", 2.5),
+        (["resist", "--gasket"], "m", True),
+        (["converge", "--gasket", "-m", "1"], "m_primes", 2.5),
     ]
 
     @pytest.mark.parametrize(
@@ -744,6 +761,30 @@ class TestIntegerKeys:
         assert main([*argv, "--config", str(cfgfile), "--out", str(out)]) == 2
         assert f"config key {key} must be an integer, got {json.dumps(value)}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key", [(["resist", "--gasket"], "m"), (["converge", "--gasket", "-m", "1"], "m_primes")]
+    )
+    @pytest.mark.parametrize("bad", [2.5, True, None])
+    def test_level_lists_hold_integers(self, tmp_path, capsys, monkeypatch, argv, key, bad):
+        # a level list took int() of each entry: 2.5 became level 2
+        monkeypatch.setattr(lerw.cli, "kernel_convergence", None)
+        monkeypatch.setattr(lerw.cli, "resistance_scaling", None)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: [1, bad]}))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert f"config key {key} must be an integer, got {json.dumps(bad)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_levels_are_read(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"m": 2.0, "gasket": True}))
+        assert main(["graph", "--config", str(cfgfile), "--out", str(tmp_path / "g")]) == 0
+        assert read_json(tmp_path / "g" / "graph.json")["results"]["level"] == 2
+        cfgfile.write_text(json.dumps({"m": [1.0, "2"], "gasket": True}))
+        assert main(["resist", "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 0
+        assert read_json(tmp_path / "r" / "resist.json")["results"]["levels"] == [1, 2]
 
     def test_integer_strings_and_integral_floats_are_read(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -462,6 +462,25 @@ class TestExactElimination:
         with pytest.raises(GuardError, match="20000 towers"):
             enumerate_erasure_law(ch, "a", {"c"}, [frozenset()], tol=Fraction(1, 100))
 
+    def test_stepped_route_guards_the_states_its_towers_hold(self, monkeypatch):
+        # the same towers are long paths: the state bound stops the call
+        # by name while the tower count is far below its guard, and an
+        # eliminated law, whose towers are not counted, is unchanged
+        ch = build_chain(
+            "abc", [["9/10", "1/20", "1/20"], ["1/20", "9/10", "1/20"], ["0", "0", "1"]], "rational"
+        )
+        tol = Fraction(1, 100)
+        le = enumerate_erasure_law(ch, "a", {"c"}, "LE", tol=tol)
+        capped = enumerate_erasure_law(ch, "a", {"c"}, [frozenset()], length_cap=6)
+        monkeypatch.setattr(exactlaw, "TOWER_STATE_GUARD", 2_000)
+        with pytest.raises(GuardError, match="more than 2000 path states"):
+            enumerate_erasure_law(ch, "a", {"c"}, [frozenset()], tol=tol)
+        with pytest.raises(GuardError, match="more than 2000 path states"):
+            enumerate_erasure_law(ch, "a", {"c"}, [frozenset()], length_cap=12)
+        assert enumerate_erasure_law(ch, "a", {"c"}, [frozenset()], length_cap=6) == capped
+        monkeypatch.setattr(exactlaw, "TOWER_STATE_GUARD", 0)
+        assert enumerate_erasure_law(ch, "a", {"c"}, "LE", tol=tol) == le
+
 
 def pipeline_shapes(rng: Random, states: tuple, start, absorbing: frozenset) -> list:
     """LE plus one 2- and one 3-stage pipeline with the start inside V1 and

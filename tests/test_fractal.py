@@ -291,6 +291,22 @@ class TestTemplates:
             template_from_text(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("###\n#.#\n###\n", "empty template file; line 1 '###' is a comment"),
+            ("3\n# a drawn carpet\n\n #.#\n.#.\n",
+             "template line 5: expected a kept cell as 'i j', got '.#.'; line 4 '#.#' is a comment"),
+        ],
+    )
+    def test_drawn_grid_refusal_names_its_row(self, text, message):
+        # a grid of "#" and "." reads as comments, so the refusal names
+        # its first such row and the "i j" form
+        with pytest.raises(ValueError) as info:
+            template_from_text(text)
+        form = ": a template lists each kept cell as its column and row, 'i j', not as a drawn grid"
+        assert str(info.value) == message + form
+
 
 class TestCarpet:
     def test_m0_square(self):
