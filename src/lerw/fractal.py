@@ -27,8 +27,11 @@ import numpy as np
 from .network import ElectricalNetwork, _dense_trace
 
 MAX_VERTICES = 5_000_000
-# points of the largest dense Laplacian one carpet glue may hold: 512 MB
-# a matrix, so carpet level 7 fits and level 8 (about 17,500) does not
+# points (front and kept) of the largest dense Laplacian one carpet glue
+# may hold.  The front is factored in place, so a glue holds one front
+# block, 512 MB at the cap: carpet level 7 fits (5,840 points, a 272 MB
+# front, about 512 MB peak RSS for levels 1..7) and level 8 (about
+# 17,500) does not
 MAX_DENSE_FRONT = 8_000
 
 
@@ -449,7 +452,12 @@ def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corne
 
     Each glue eliminates every point it does not keep, on dense
     Laplacians (`network._dense_trace`): the points in one copy only
-    inside that copy first, then the front the copies share.  A glue
+    inside that copy first, then the front the copies share.  Every copy
+    is traced before the glued front is allocated, and T_{m-1} is freed
+    in between when that glue is its last use.  Each elimination
+    overwrites its own blocks and nothing else: the front block holds
+    its Cholesky factor until it is restored from its lower triangle for
+    the residual check, and the kept block becomes the trace.  A glue
     whose dense front would exceed MAX_DENSE_FRONT points raises
     ValueError before anything is built.  There is no rational mode:
     exact values come from tracing the whole graph, which is faster, as
@@ -482,10 +490,17 @@ def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corne
     _add_edges(lap, ring, (ring + 1) % 4, 0.5)  # T_0
     out = {}
     for m in range(ms[-1] + 1):
+        # a glue's copies are all traced before its front is allocated,
+        # and T_{m-1} is dropped in between when that glue is its last use
         if m in lasts:
-            out[m] = lasts[m].network(lasts[m].run(lap))
+            copies = lasts[m].trace_copies(lap)
+            if m == ms[-1]:
+                del lap
+            out[m] = lasts[m].network(lasts[m].run(copies))
         if 1 <= m < ms[-1]:
-            lap = builds[m - 1].run(lap)  # T_m from T_{m-1}
+            copies = builds[m - 1].trace_copies(lap)
+            del lap
+            lap = builds[m - 1].run(copies)  # T_m from T_{m-1}
     return out
 
 
@@ -569,6 +584,10 @@ class _CarpetGlue:
         shared = np.bincount(np.concatenate(blocks), minlength=self.n) > 1
         self.front = np.flatnonzero(shared & ~kept)
         self.size = len(self.front) + len(self.keep)
+        # each point's row in the glued Laplacian, front then kept; -1
+        # for the points of one copy only
+        self.pos = np.full(self.n, -1)
+        self.pos[np.concatenate([self.front, self.keep])] = np.arange(self.size)
 
     def _extra_edges(self, side: int, keys: np.ndarray):
         """(points, ends a, ends b) of the unit segments between glued
@@ -587,33 +606,64 @@ class _CarpetGlue:
         pts = np.union1d(lo, hi)
         return pts, np.searchsorted(pts, lo), np.searchsorted(pts, hi)
 
-    def run(self, lap: np.ndarray) -> np.ndarray:
-        """The Laplacian on the kept points, in keep order, of copies of
-        the boundary-trace Laplacian lap glued.
-
-        Each copy (with its second halves) is traced inside itself onto
-        its points that are kept or shared, and added into the glued
-        Laplacian on those points, which is then traced onto the kept
-        ones."""
+    def trace_copies(self, lap: np.ndarray) -> list:
+        """Each copy of the boundary-trace Laplacian lap, with its second
+        halves, traced inside itself onto its points that are kept or
+        shared: a list of `_traced_copy` pairs, in copy order."""
         blocks = [(ids, lap, a, b, 0.5) for ids, (a, b) in zip(self.copies, self.tops)]
         if self.extra is not None:
             ids, a, b = self.extra
             blocks.append((ids, np.zeros((len(ids), len(ids))), a, b, 1.0))
-        order = np.concatenate([self.front, self.keep])
-        pos = np.full(self.n, -1)
-        pos[order] = np.arange(len(order))
-        glued = np.zeros((len(order), len(order)))
-        for ids, base, a, b, c in blocks:
-            block = base.copy()
-            _add_edges(block, a, b, c)
-            private = pos[ids] < 0
-            if private.any():
-                first = np.argsort(~private, kind="stable")
-                block = _dense_trace(block[np.ix_(first, first)], int(private.sum()))
-                ids = ids[first[private.sum():]]
-            p = pos[ids]
-            glued[np.ix_(p, p)] += block
-        return _dense_trace(glued, len(self.front))
+        return [self._traced_copy(self.pos[ids], base, a, b, c) for ids, base, a, b, c in blocks]
+
+    def run(self, traced: list) -> np.ndarray:
+        """The Laplacian on the kept points, in keep order, of the traced
+        copies glued.
+
+        The copies are added, in order, into the three blocks of the
+        glued Laplacian: front x front (in Fortran order), front x kept
+        and kept x kept.  traced is emptied on the way, so each copy is
+        freed once added.  The front is then eliminated by
+        `_dense_trace`, which overwrites the blocks."""
+        nf, nk = len(self.front), len(self.keep)
+        ff = np.zeros((nf, nf), order="F")
+        fk = np.zeros((nf, nk))
+        kk = np.zeros((nk, nk))
+        traced.reverse()
+        while traced:
+            p, block = traced.pop()
+            q = np.searchsorted(p, nf)
+            f, k = p[:q], p[q:] - nf
+            ff[np.ix_(f, f)] += block[:q, :q]
+            fk[np.ix_(f, k)] += block[:q, q:]
+            kk[np.ix_(k, k)] += block[q:, q:]
+        return _dense_trace(ff, fk, kk)
+
+    @staticmethod
+    def _traced_copy(p: np.ndarray, base: np.ndarray, a, b, c) -> tuple:
+        """(positions, Laplacian) of one copy traced onto its points that
+        are not private (position -1 in p), front points first.
+
+        The copy's Laplacian is base with conductance c added on the
+        pairs a, b, gathered private points first; the rest keep their
+        order in p while the private points are eliminated (which sets
+        the rounding of each row sum), and are then ordered by position,
+        which puts the front first.  A copy without private points is
+        gathered in that order at once."""
+        private = p < 0
+        n = int(private.sum())
+        first = np.argsort(~private if n else p, kind="stable")
+        at = np.empty_like(first)
+        at[first] = np.arange(len(first))
+        block = base[np.ix_(first, first)]
+        _add_edges(block, at[a], at[b], c)
+        p = p[first]
+        if n:
+            block = _dense_trace(np.asfortranarray(block[:n, :n]), block[:n, n:], block[n:, n:])
+            p = p[n:]
+            order = np.argsort(p, kind="stable")
+            block, p = block[np.ix_(order, order)], p[order]
+        return p, block
 
     def network(self, lap: np.ndarray) -> ElectricalNetwork:
         """The kept points, as grid pairs, joined by the conductances of lap."""

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._exact import SingularSystemError, check_residual, eliminate
+from ._exact import RESIDUAL_ROWS, SingularSystemError, check_residual, eliminate
 from .chain import MarkovChain, build_chain
 
 
@@ -301,7 +301,7 @@ def _schur_laplacian(schur: np.ndarray) -> np.ndarray:
     loss grows with each elimination that follows (this is the fix GTH
     state reduction makes).
     """
-    scale = max(abs(schur).max(), 1.0)
+    scale = max(schur.max(), -schur.min(), 1.0)
     c = schur + schur.T
     c *= -0.5
     np.fill_diagonal(c, 0.0)
@@ -311,26 +311,51 @@ def _schur_laplacian(schur: np.ndarray) -> np.ndarray:
     return c
 
 
-def _dense_trace(lap: np.ndarray, nf: int) -> np.ndarray:
-    """`_schur_laplacian` of the dense Laplacian lap traced onto its
-    positions after the first nf, which are eliminated.
+def _dense_trace(ff: np.ndarray, fk: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """`_schur_laplacian` of the dense Laplacian [[ff, fk], [fk^T, kk]]
+    traced onto its kept block kk, the front ff eliminated.
 
-    The grounded block L[:nf, :nf] is positive definite on a connected
-    network; one Cholesky solve (LAPACK) takes every kept column, and its
-    solution must pass `check_residual`.  SingularSystemError when the
-    block is not numerically positive definite.
+    ff is the symmetric front x front block, fk the front x kept block
+    and kk the kept x kept block.  On a connected network ff is positive
+    definite.  LAPACK `potrf` factors it into U^T U, U on and above the
+    diagonal, in place when ff is in Fortran order, and `potrs` solves
+    ff x = fk for every kept column at once.  potrf leaves the strictly
+    lower triangle alone, so ff is then rebuilt from it and a copy of its
+    diagonal, and x must pass `check_residual` against the front itself.
+    kk is overwritten with the Schur complement kk - fk^T x; fk is left
+    as it was.  SingularSystemError when ff is not numerically positive
+    definite, ff then holding part of its factor.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    if not len(ff):
+        return _schur_laplacian(kk)
+    from scipy.linalg import get_lapack_funcs
 
-    if not nf:
-        return _schur_laplacian(lap)
-    a, b = lap[:nf, :nf], lap[:nf, nf:]
-    try:
-        x = cho_solve(cho_factor(a, check_finite=False), b, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from None
-    check_residual(a, x, b)
-    return _schur_laplacian(lap[nf:, nf:] - b.T @ x)
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (ff,))
+    diag = ff.diagonal().copy()
+    u, info = potrf(ff, lower=0, clean=0, overwrite_a=1)  # u is ff itself in Fortran order
+    if info > 0:
+        raise SingularSystemError(f"{info}-th leading minor of the front is not positive definite")
+    x, info = potrs(u, fk, lower=0)
+    if info:
+        raise ValueError(f"potrs: illegal argument {-info}")
+    _restore_upper(ff, diag)
+    check_residual(ff, x, fk)
+    kk -= fk.T @ x
+    return _schur_laplacian(kk)
+
+
+def _restore_upper(a: np.ndarray, diag: np.ndarray) -> None:
+    """Copy the strictly lower triangle of the square a over its strictly
+    upper one and put diag on its diagonal, in place.  Columns go
+    RESIDUAL_ROWS at a time, so no copy of a's size is ever held; each
+    diagonal block is mirrored within itself."""
+    n = len(a)
+    for i in range(0, n, RESIDUAL_ROWS):
+        j = min(i + RESIDUAL_ROWS, n)
+        a[:i, i:j] = a[i:j, :i].T
+        block = a[i:j, i:j]
+        np.copyto(block, block.T, where=np.tri(j - i, k=-1, dtype=bool).T)
+    np.fill_diagonal(a, diag)
 
 
 _EVERY = object()

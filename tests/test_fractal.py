@@ -1,5 +1,6 @@
 """Fractal graph generators: counts, nesting, symmetry, template rules."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -577,6 +578,23 @@ class TestCarpetTraces:
         with pytest.raises(ValueError, match=r"^carpet level 3 needs a dense front of 80 points \(0\.0 GB\), above the 60 cap$"):
             carpet_traces(standard_carpet(), [3])
         assert len(ran) == 2  # only the level-2 run: T_1, then its last glue
+
+    def test_glue_memory_is_bounded(self):
+        # Peak traced memory of carpet level 5 alone: 7.71 MiB when the
+        # Cholesky factor was a copy of the last glue's 652-point front
+        # (3.24 MiB) and T_4 stayed alive through that glue; 5.40 MiB with
+        # the front factored in place and T_4 dropped once its copies are
+        # traced.  What is left is the front, the eight traced copies
+        # (1.64 MiB) added into it, and `check_residual`'s row blocks.
+        # The bound is twice the front: a second front-sized array fails.
+        carpet_traces(standard_carpet(), [1])  # imports scipy.linalg
+        tracemalloc.start()
+        try:
+            carpet_traces(standard_carpet(), [5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 3.24 * 2**20
 
     @pytest.mark.parametrize(
         "levels, keep, match",

@@ -603,3 +603,100 @@ class TestResidualCheck:
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes / 2
+
+
+def dense_laplacian(rng, n, path=()):
+    """A dense Laplacian on n points: a random spanning tree plus random
+    chords, conductances spread over four decades.  The points in path,
+    which must be increasing, are left out of it and joined to each other
+    alone, in that order, by unit conductances: a component apart whose
+    grounded block is singular, with Cholesky pivots 1, ..., 1, 0 exactly."""
+    lap = np.zeros((n, n))
+    rest = [v for v in rng.permutation(n).tolist() if v not in set(path)]
+    pairs = [(rest[i], rest[rng.integers(i)]) for i in range(1, len(rest))]
+    pairs += [tuple(rng.choice(rest, 2, replace=False)) for _ in range(rng.integers(len(rest) * 2))]
+    edges = [(a, b, 10 ** rng.uniform(-2, 2)) for a, b in pairs]
+    edges += [(a, b, 1.0) for a, b in zip(path, path[1:])]
+    for a, b, c in edges:
+        lap[a, b] -= c
+        lap[b, a] -= c
+        lap[a, a] += c
+        lap[b, b] += c
+    return lap
+
+
+def copy_trace(lap, nf):
+    """The dense trace as it was before it worked in place: a Cholesky
+    factor of a copy of the front, then `_schur_laplacian` with its scale
+    taken from a full |S| temporary."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    schur = lap
+    if nf:
+        a, b = lap[:nf, :nf], lap[:nf, nf:]
+        x = cho_solve(cho_factor(a, check_finite=False), b, check_finite=False)
+        check_residual(a, x, b)
+        schur = lap[nf:, nf:] - b.T @ x
+    scale = max(abs(schur).max(), 1.0)
+    c = schur + schur.T
+    c *= -0.5
+    np.fill_diagonal(c, 0.0)
+    c[c <= 1e-13 * scale] = 0.0
+    c *= -1.0
+    np.fill_diagonal(c, -c.sum(1))
+    return c
+
+
+def split(lap, nf):
+    return np.asfortranarray(lap[:nf, :nf]), lap[:nf, nf:].copy(), lap[nf:, nf:].copy()
+
+
+class TestDenseTrace:
+    """`network._dense_trace` factors the front in place and restores it."""
+
+    @pytest.mark.parametrize("rows", [7, lerw.network.RESIDUAL_ROWS])
+    def test_in_place_trace_equals_the_copy_based_one(self, monkeypatch, rows):
+        # rows: the strip width of the front's restore; 7 takes several
+        # strips and a ragged last one on every front past 7 points
+        monkeypatch.setattr(lerw.network, "RESIDUAL_ROWS", rows)
+        rng = np.random.default_rng(27)
+        for n in rng.integers(2, 90, 40).tolist():
+            lap = dense_laplacian(rng, n)
+            nf = int(rng.integers(n))  # 0: no front, as at a level-0 glue
+            ff, fk, kk = split(lap, nf)
+            got = lerw.network._dense_trace(ff, fk, kk)
+            assert np.array_equal(got, copy_trace(lap, nf))
+            assert ff.flags.f_contiguous
+            assert np.array_equal(ff, lap[:nf, :nf])  # restored
+            assert np.array_equal(fk, lap[:nf, nf:])  # left alone
+
+    def test_disconnected_front_component_is_refused(self):
+        rng = np.random.default_rng(28)
+        for _ in range(30):
+            n = int(rng.integers(4, 60))
+            nf = int(rng.integers(2, n))
+            path = sorted(rng.choice(nf, int(rng.integers(2, min(nf, 6) + 1)), replace=False).tolist())
+            lap = dense_laplacian(rng, n, path)
+            with pytest.raises(SingularSystemError, match="not positive definite"):
+                lerw.network._dense_trace(*split(lap, nf))
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                copy_trace(lap, nf)
+
+    def test_residual_is_checked_against_the_front_itself(self, monkeypatch):
+        seen = []
+
+        def spy(a, x, b):
+            seen.append((a.copy(), b.copy()))
+            return check_residual(a, x, b)
+
+        monkeypatch.setattr(lerw.network, "check_residual", spy)
+        monkeypatch.setattr(lerw.network, "RESIDUAL_ROWS", 5)
+        rng = np.random.default_rng(29)
+        for n in (3, 12, 40):
+            lap = dense_laplacian(rng, n)
+            nf = n - 2
+            lerw.network._dense_trace(*split(lap, nf))
+            a, b = seen.pop()
+            assert np.array_equal(a, lap[:nf, :nf])
+            assert np.array_equal(b, lap[:nf, nf:])
+        assert not seen
