@@ -346,7 +346,7 @@ def _target_vertices(spec, graph) -> list:
 
 
 def _parse_pipeline_levels(spec, graph):
-    """"le" or a comma list of vK tokens naming nested vertex sets."""
+    """"le" or a comma list of vK tokens naming the graph's level index arrays."""
     s = str(spec).strip().lower()
     if s == "le":
         return "LE"
@@ -360,7 +360,7 @@ def _parse_pipeline_levels(spec, graph):
             raise UsageError(f"bad pipeline stage {tok!r}")
         if not 0 <= k <= graph.level:
             raise UsageError(f"stage {tok!r} exceeds the graph level {graph.level}")
-        stages.append(graph.nested[k])
+        stages.append(graph.level_sets[k])
     if not stages:
         raise UsageError("empty pipeline")
     return stages

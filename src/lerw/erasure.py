@@ -23,12 +23,15 @@ routines erase them by the same recursion, returning the surviving
 indices: `loop_erase_array` (full erasure) and
 `partial_loop_erase_array` (under a boolean erasable mask).  Each keeps
 its last-visit table as an array over states, built with one
-np.maximum.at.  `limits.coupled_refinement_distance` uses both, and
-`limits.lerw_set_law` uses `loop_erase_array` for its plain "LE"
-pipeline.  The tuple routines serve everything else: chain paths of
-arbitrary hashable states (corner walks, exact enumeration) and the
-refinement pipelines through `refinement_erase`.  Tests pin the array
-routines to the naive ones as well.
+np.maximum.at.  They serve every sampled graph walk through one stage
+route, `limits._erased_walks`, which runs a refinement pipeline on
+index arrays (a level's mask by `partial_loop_erase_array`, a full
+erasure by `loop_erase_array`); `limits.lerw_set_law` and
+`limits.coupled_refinement_distance` read its stages.  The tuple
+routines serve chain paths of arbitrary hashable states (corner walks,
+exact enumeration), and `refinement_erase` is the tuple pipeline that
+tests hold the stage route to.  Tests pin the array routines to the
+naive ones as well.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ counter-based stream keyed (master_seed, i), so aggregation is
 order-independent.  Graph walks run through `chain._walk_many`, which
 steps a pool of them in lockstep until the last one ends.  Results are
 stored by trajectory index, so the order in which walks finish does not
-matter.
+matter.  Every sampled walk is erased along one route, `_erased_walks`,
+which runs a list of nested stages with the array erasures: the set
+laws of `lerw_set_law` and the coupled distances of
+`coupled_refinement_distance` both read its stage images.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .chain import STEP_CAP, _walk_many
-from .erasure import loop_erase_array, partial_loop_erase_array, refinement_erase
+from .erasure import loop_erase_array, partial_loop_erase_array
 from .fractal import (
     FractalGraph,
     adjacency_arrays,
@@ -41,8 +44,25 @@ def hausdorff(a, b):
     xb = np.asarray(list(b), dtype=float)
     if not len(xa) or not len(xb):
         raise ValueError("hausdorff needs non-empty sets")
-    d2 = ((xa[:, None, :] - xb[None, :, :]) ** 2).sum(-1)
-    return float(max(d2.min(1).max(), d2.min(0).max())) ** 0.5
+    if xa.ndim != 2 or xa.shape[1:] != xb.shape[1:]:
+        raise ValueError("hausdorff needs points of one dimension")
+    return max(_directed_hausdorff(xa, xb), _directed_hausdorff(xb, xa))
+
+
+def _directed_hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Largest distance from a row of pa to its nearest row of pb.
+
+    pa and pb are float arrays of points, one per row.  The squared
+    distances are summed one coordinate at a time, in place, in one
+    len(pa) x len(pb) array.
+    """
+    d2 = pa[:, :1] - pb[:, 0]
+    d2 *= d2
+    for j in range(1, pa.shape[1]):
+        dj = pa[:, j : j + 1] - pb[:, j]
+        dj *= dj
+        d2 += dj
+    return float(d2.min(1).max()) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -128,39 +148,87 @@ def _graph_walks(config: WalkConfig, x: int, targets: Iterable, count: int):
     return _walk_many(indptr, nbr, x, flags, config.master_seed, count, config.step_cap)
 
 
+def _erased_walks(config: WalkConfig, x: int, targets: Iterable, count: int, levels):
+    """Trajectories 0..count-1 of `_graph_walks`, each erased stage by stage.
+
+    Returns a generator of (i, walk, images), in the order the walks
+    finish; images[k] is stage k's output as a vertex index array.
+    Stage 0 erases the walk and stage k erases stage k-1's output: a
+    level, a collection of vertex indices, by `partial_loop_erase_array`
+    under that level's mask, and None by `loop_erase_array`, the full
+    erasure.  This is `refinement_erase` on index arrays, with None
+    standing for every vertex.  A non-positive count, `_graph_walks`'
+    refusals, an empty level list, levels that are not nested and a
+    level vertex outside 0..n-1 raise ValueError before any walk is
+    drawn.
+    """
+    if count <= 0:
+        raise ValueError("num_samples must be positive")
+    walks = _graph_walks(config, x, targets, count)
+    n = config.graph.n
+    if not len(levels):
+        raise ValueError("levels must be non-empty")
+    masks = []  # one per stage, None for full erasure
+    below = np.zeros(n, dtype=bool)  # the previous stage's level
+    for k, level in enumerate(levels):
+        if level is None:
+            mask = np.ones(n, dtype=bool)
+        else:
+            idx = np.fromiter(level, dtype=np.intp)
+            bad = idx[(idx < 0) | (idx >= n)]
+            if len(bad):
+                raise ValueError(
+                    f"level {k} vertex {bad[0]} is out of range: the graph has vertices 0..{n - 1}"
+                )
+            mask = np.zeros(n, dtype=bool)
+            mask[idx] = True
+        if (below & ~mask).any():
+            raise ValueError("levels must be nested (non-decreasing)")
+        below = mask
+        masks.append(None if level is None else mask)
+    return ((i, w, _stage_images(w, masks, n)) for i, w in walks)
+
+
+def _stage_images(w: np.ndarray, masks: list, n: int) -> list:
+    """Each stage's output for walk w, as `_erased_walks` describes."""
+    images = []
+    for mask in masks:
+        w = w[loop_erase_array(w, n) if mask is None else partial_loop_erase_array(w, mask)]
+        images.append(w)
+    return images
+
+
 def lerw_set_law(
     config: WalkConfig, x: int, targets: Iterable, num_samples: int, pipeline="LE"
 ) -> EmpiricalSetLaw:
     """Empirical law of the erased walk's image as a point set.
 
-    The plain "LE" pipeline erases each walk with `loop_erase_array` and
-    checks that the output is a simple path from x into exactly one
-    target before it is recorded; a list of levels runs through
-    `refinement_erase`.
+    The plain "LE" pipeline is one full erasure; a list of nested levels
+    (vertex index collections, None for every vertex) is erased stage by
+    stage, as `refinement_erase` does.  Both run through `_erased_walks`.
+    Before it is recorded, every output is checked to run from x into
+    exactly one target, touching no target before its end; an output of
+    a full erasure stage is also checked to be a simple path.
     """
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
-    plain = isinstance(pipeline, str)
-    if plain and pipeline != "LE":
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    g = config.graph
+    if isinstance(pipeline, str):
+        if pipeline != "LE":
+            raise ValueError(f"unknown pipeline {pipeline!r}")
+        pipeline = [None]
     tset = frozenset(targets)
-    walks = _graph_walks(config, x, tset, num_samples)
+    erased = _erased_walks(config, x, tset, num_samples, pipeline)
+    g = config.graph
     is_target = np.zeros(g.n, dtype=bool)
     is_target[list(tset)] = True
+    full = pipeline[-1] is None
     verts = g.vertices
     keys = [None] * num_samples
-    for i, w in walks:
-        if plain:
-            out = w[loop_erase_array(w, g.n)]
-            if len(np.unique(out)) != len(out):
-                raise AssertionError(f"erased output not simple on sample {i}")
-            if out[0] != x or not is_target[out[-1]] or is_target[out[:-1]].any():
-                raise AssertionError(f"bad endpoints on sample {i}")
-            out = out.tolist()
-        else:
-            out = refinement_erase(tuple(w.tolist()), pipeline)[-1].path
-        keys[i] = tuple(sorted(verts[v] for v in set(out)))
+    for i, _, images in erased:
+        out = images[-1]
+        if full and len(np.unique(out)) != len(out):
+            raise AssertionError(f"erased output not simple on sample {i}")
+        if out[0] != x or not is_target[out[-1]] or is_target[out[:-1]].any():
+            raise AssertionError(f"bad endpoints on sample {i}")
+        keys[i] = tuple(sorted(verts[v] for v in set(out.tolist())))
     # counted in index order, so the atoms keep the serial insertion order
     atoms = Counter(keys)
     return EmpiricalSetLaw(g.kind, g.grid, dict(atoms), num_samples)
@@ -172,26 +240,21 @@ def coupled_refinement_distance(
     """Per-sample Hausdorff gap between the stage-m partial erasure image
     and the full erasure of that same stage output.
 
-    The coupling is pathwise: both images come from one sampled
-    trajectory on the configured graph. At m equal to the graph level the
-    stage is already the full erasure and every distance is zero.
+    The coupling is pathwise: both images are the stages of one sampled
+    trajectory on the configured graph through `_erased_walks`, with
+    levels [V_m, None]. At m equal to the graph level the stage is
+    already the full erasure and every distance is zero.
     """
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
     g = config.graph
     if not 0 <= m <= g.level:
         raise ValueError("stage level out of range")
-    erasable = np.zeros(g.n, dtype=bool)
-    erasable[g.level_sets[m]] = True
-    walks = _graph_walks(config, x, targets, num_samples)
+    erased = _erased_walks(config, x, targets, num_samples, [g.level_sets[m], None])
     xy = to_xy(g)
     dists = np.empty(num_samples)
     steps = np.empty(num_samples, dtype=np.int64)
     stage_points = final_points = 0
     off_final = np.zeros(g.n, dtype=bool)  # all False between samples
-    for i, w in walks:
-        stage = w[partial_loop_erase_array(w, erasable)]
-        final = stage[loop_erase_array(stage, g.n)]
+    for i, w, (stage, final) in erased:
         steps[i] = len(w) - 1
         stage_points += len(stage)
         final_points += len(final)
@@ -201,17 +264,7 @@ def coupled_refinement_distance(
         off_final[final] = False
         off = np.flatnonzero(off_final)
         off_final[off] = False
-        if not len(off):
-            dists[i] = 0.0
-            continue
-        pa = xy[off]
-        pb = xy[final]
-        dx = pa[:, :1] - pb[:, 0]
-        dy = pa[:, 1:] - pb[:, 1]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        dists[i] = float(dx.min(1).max()) ** 0.5
+        dists[i] = _directed_hausdorff(xy[off], xy[final]) if len(off) else 0.0
     qs = np.quantile(dists, [0.5, 0.9])
     return {
         "n": num_samples,

@@ -834,7 +834,8 @@ class TestOutputContract:
 
 class TestOutputBytes:
     # sha256 of every file a run writes and of its stdout, for runs whose
-    # values are all exact; a refactor of the output code must keep them
+    # values are all exact (a seeded simulate law is counts of images); a
+    # refactor of the output or erasure code must keep them
     PINNED = {
         "graph": (
             ["graph", "--gasket", "-m", "2"],
@@ -852,6 +853,15 @@ class TestOutputBytes:
                 "exact_law.txt": "3c26dae41bbd1e8f34779c2a6199bf727a31c649852aed5e219518a41f68c2b7",
             },
             "4582383af05f34c464737424f27fd4f059493f151d481d1d055626c3e06663e7",
+        ),
+        "simulate": (
+            ["simulate", "--gasket", "-m", "2", "--from", "q1", "--to", "q2,q3", "-n", "2000",
+             "--pipeline", "v0,v1,v2", "--seed", "7"],
+            {
+                "simulate.json": "1346fa5eed66df171cf149c6cee366c74477f9530778bb0f1ddc78f1dfe05f76",
+                "simulate_law.txt": "a2be9d7dea15b060d2f56c9d69337bc2353850b5f04aae14d23deac318392115",
+            },
+            "21d5048f9b1dcec3571c5fbb2412c0b85b2fb19b6d5921e28a9e449465d77ec5",
         ),
         "verify-theorem1": (
             ["verify-theorem1", "--seed", "5", "--chains", "3", "--inject-ple-bug"],

@@ -24,7 +24,7 @@ from lerw.chain import (
     sample_until_entry,
     trajectory_stream,
 )
-from lerw.erasure import loop_erase, partial_loop_erase
+from lerw.erasure import loop_erase, partial_loop_erase, refinement_erase
 from lerw.fractal import (
     FractalGraph,
     adjacency_arrays,
@@ -38,6 +38,7 @@ from lerw.fractal import (
 from lerw.limits import (
     EmpiricalSetLaw,
     WalkConfig,
+    _erased_walks,
     _graph_walks,
     aitken_limit,
     coupled_refinement_distance,
@@ -83,6 +84,14 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff([], [(0, 0)])
+
+    def test_points_of_other_dimensions_rejected(self):
+        # the distances are summed coordinate by coordinate, so a point
+        # set of more coordinates must not lose its extra ones
+        for a, b in (([(0, 0)], [(0, 0, 5)]), ([(0, 0, 5)], [(0, 0)]), ([0, 1], [0])):
+            with pytest.raises(ValueError, match="one dimension"):
+                hausdorff(a, b)
+        assert hausdorff([(0, 0, 0), (1, 0, 0)], [(0, 0, 5)]) == pytest.approx(26**0.5)
 
     def test_metric_axioms_fuzz(self):
         rng = Random(404)
@@ -325,6 +334,92 @@ class TestPoolWidth:
         assert runs[0][1]["walk_steps_max"] > LOCKSTEP_BLOCK
 
 
+def nested_levels(rng, n, depth):
+    """depth nested vertex sets of random sizes 0..n, each a prefix of
+    one random vertex order."""
+    order = rng.sample(range(n), n)
+    return [frozenset(order[:size]) for size in sorted(rng.randint(0, n) for _ in range(depth))]
+
+
+class TestErasedWalks:
+    """The stage route is `refinement_erase` on index arrays."""
+
+    @pytest.mark.parametrize("kind, m", [("gasket", 3), ("carpet", 2)])
+    def test_stages_equal_refinement_erase(self, kind, m):
+        g = family_graph(kind, m)
+        c = corner_indices(g)
+        n = g.n
+        rng = Random(f"{kind}{m}")
+        everything = frozenset(range(n))
+        pipelines = [
+            [None],
+            list(g.level_sets),
+            [g.level_sets[0], None],
+            [frozenset(), *nested_levels(rng, n, 2)],  # an empty first level
+            [frozenset(), frozenset(), None],
+            [everything, None],
+            [everything, None, None],
+            [*nested_levels(rng, n - 1, 3)],  # the last level misses a vertex
+        ]
+        pipelines += [nested_levels(rng, n, rng.randint(1, 4)) for _ in range(6)]
+        pipelines += [[*nested_levels(rng, n, rng.randint(0, 3)), None] for _ in range(4)]
+        # levels given as sorted lists and as arrays too
+        fuzz = nested_levels(rng, n, 3)
+        pipelines.append([sorted(s) for s in fuzz] + [None])
+        pipelines.append([np.array(sorted(s), dtype=np.int64) for s in fuzz])
+        config = WalkConfig(g, 23)
+        walks = dict(_graph_walks(config, c[0], [c[-1]], 60))
+        for levels in pipelines:
+            ref_levels = [everything if lv is None else lv for lv in levels]
+            seen = set()
+            for i, w, images in _erased_walks(config, c[0], [c[-1]], 60, levels):
+                seen.add(i)
+                assert np.array_equal(w, walks[i])
+                stages = refinement_erase(tuple(w.tolist()), ref_levels)
+                assert len(images) == len(stages)
+                for k, (image, stage) in enumerate(zip(images, stages)):
+                    assert image.dtype == np.intp
+                    assert tuple(image.tolist()) == stage.path, (levels, i, k)
+            assert seen == set(range(60))
+
+    def test_bad_input_is_refused_before_any_walk_is_drawn(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a walk was drawn")
+            yield
+
+        monkeypatch.setattr(lerw.limits, "_walk_many", drawn)
+        g = gasket_graph(2)
+        c = corner_indices(g)
+        config = WalkConfig(g, 1)
+        v0, v1, v2 = g.level_sets
+        refused = [
+            ([], "non-empty"),
+            ((), "non-empty"),
+            ([v1, v0], "nested"),
+            ([v0, v2, v1], "nested"),
+            ([None, v1], "nested"),
+            ([frozenset({c[1]}), frozenset({c[2]})], "nested"),
+            ([[g.n]], "out of range"),
+            ([v0, np.append(v1, g.n + 3)], "out of range"),
+            ([[-1]], "out of range"),
+            ([frozenset({0, -g.n})], "out of range"),
+        ]
+        for levels, match in refused:
+            with pytest.raises(ValueError, match=match):
+                _erased_walks(config, c[0], [c[1]], 5, levels)
+            with pytest.raises(ValueError, match=match):
+                lerw_set_law(config, c[0], [c[1]], 5, levels)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="num_samples must be positive"):
+                _erased_walks(config, c[0], [c[1]], count, [None])
+        with pytest.raises(ValueError, match="out of range"):
+            _erased_walks(config, c[0], [g.n], 5, [None])
+        # the stub fails once a walk is drawn
+        walks = _erased_walks(config, c[0], [c[1]], 5, [v0, v1, None])
+        with pytest.raises(AssertionError, match="a walk was drawn"):
+            next(walks)
+
+
 class TestLerwSetLaw:
     def test_deterministic_walk_is_dirac(self):
         g = path_stub(2)
@@ -438,11 +533,12 @@ class TestCoupledRefinement:
         code = """
 import sys
 from lerw.fractal import carpet_graph, corner_indices, standard_carpet, uniform_network
-from lerw.limits import WalkConfig, coupled_refinement_distance
+from lerw.limits import WalkConfig, coupled_refinement_distance, lerw_set_law
 from lerw.network import walk_from_network
 g = carpet_graph(standard_carpet(), 3)
 c = corner_indices(g)
 coupled_refinement_distance(WalkConfig(g, 1), 2, c[0], [c[3]], 20)
+lerw_set_law(WalkConfig(g, 1), c[0], [c[3]], 20, list(g.level_sets))
 walk_from_network(uniform_network(g, "double"))
 assert "lerw.limits" in sys.modules
 assert "scipy.sparse" not in sys.modules, "sampling imported scipy.sparse"
