@@ -187,31 +187,35 @@ def partial_loop_erase_array(w: np.ndarray, erasable: np.ndarray) -> np.ndarray:
 
     Only positions holding erasable states are chased.  The last visit
     to an erasable state is itself such a position, so the chase runs on
-    their ranks alone and the next erasable position after a jump is the
-    next rank.  The runs between chased positions survive whole; only
-    those runs are materialized.
+    their ranks alone: from rank j it jumps to the rank of the last visit
+    to the state held there, and the next rank chased is the one after
+    that.  The chase reads a memoryview of that jump table and records
+    only the ranks it visits.  Between chased positions the input
+    survives whole, so the output is those runs, built in one np.repeat:
+    each runs from just past the previous jump's landing (from 0 for the
+    first) to its chased position, and a last one from just past the
+    final landing to the end, empty when that landing is the end.
     """
     w = np.asarray(w)
     if w.ndim != 1 or not len(w):
         raise ValueError("path must be a non-empty 1-d array")
-    eta = len(w) - 1
     marks = np.flatnonzero(erasable[w])  # positions holding erasable states
     held = w[marks]
     last = np.zeros(len(erasable), dtype=np.intp)  # state -> rank of its last visit
     np.maximum.at(last, held, np.arange(len(marks)))
-    runs = []
-    i = j = 0  # next input position, rank of the first erasable position at or after it
-    while j < len(marks):
-        e = marks.item(j)
-        runs.append(np.arange(i, e + 1))
-        j = last.item(held.item(j))  # jump past the last visit to w[e]
-        i = marks.item(j) + 1
-        if i > eta:
-            break
-        j += 1
-    else:  # no erasable position left: the rest survives
-        runs.append(np.arange(i, eta + 1))
-    return np.concatenate(runs)
+    jump = last[held]  # rank -> rank of the last visit to the state held there
+    step = memoryview(jump)
+    chased = []
+    j, n = 0, len(marks)
+    while j < n:
+        chased.append(j)
+        j = step[j] + 1
+    chased = np.array(chased, dtype=np.intp)
+    starts = np.concatenate(([0], marks[jump[chased]] + 1))
+    ends = np.concatenate((marks[chased], [len(w) - 1]))
+    lengths = ends - starts + 1
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(len(shift), dtype=np.intp) + shift
 
 
 def refinement_erase(w: Sequence, levels: Sequence[Iterable]) -> tuple[ErasureResult, ...]:

@@ -47,6 +47,20 @@ def standard_carpet() -> CarpetTemplate:
     return CarpetTemplate(3, cells)
 
 
+# the eight isometries of the square [0, t]^2, as maps of its points; with
+# t = k + 1 they map the 1-based cells of a side-k template
+_SQUARE_MAPS = (
+    lambda x, y, t: (x, y),
+    lambda x, y, t: (t - x, y),
+    lambda x, y, t: (x, t - y),
+    lambda x, y, t: (t - x, t - y),
+    lambda x, y, t: (y, x),
+    lambda x, y, t: (t - y, x),
+    lambda x, y, t: (y, t - x),
+    lambda x, y, t: (t - y, t - x),
+)
+
+
 def validate_carpet_template(template: CarpetTemplate) -> list:
     """All four carpet conditions; returns human-readable violations.
 
@@ -79,18 +93,8 @@ def validate_carpet_template(template: CarpetTemplate) -> list:
     if any(c not in cells for c in border):
         bad.append("Borders: some border cell is missing")
 
-    flips = [
-        lambda i, j: (i, j),
-        lambda i, j: (k + 1 - i, j),
-        lambda i, j: (i, k + 1 - j),
-        lambda i, j: (k + 1 - i, k + 1 - j),
-        lambda i, j: (j, i),
-        lambda i, j: (k + 1 - j, i),
-        lambda i, j: (j, k + 1 - i),
-        lambda i, j: (k + 1 - j, k + 1 - i),
-    ]
-    for f in flips:
-        if frozenset(f(i, j) for i, j in cells) != cells:
+    for f in _SQUARE_MAPS:
+        if frozenset(f(i, j, k + 1) for i, j in cells) != cells:
             bad.append("Symmetry: cell set not invariant under the square isometries")
             break
 
@@ -452,9 +456,12 @@ def carpet_traces(template: CarpetTemplate, levels: Iterable, keep: str = "corne
 
     Each glue eliminates every point it does not keep, on dense
     Laplacians (`network._dense_trace`): the points in one copy only
-    inside that copy first, then the front the copies share.  Every copy
-    is traced before the glued front is allocated, and T_{m-1} is freed
-    in between when that glue is its last use.  Each elimination
+    inside that copy first, then the front the copies share.  Copies
+    that an isometry of the square carries onto each other are traced
+    once, as `_CarpetGlue` describes: the standard carpet's glues trace
+    2 copies, not 8.  Every traced copy is made before the glued front
+    is allocated, and T_{m-1} is freed in between when that glue is its
+    last use.  Each elimination
     overwrites its own blocks and nothing else: the front block holds
     its Cholesky factor until it is restored from its lower triangle for
     the residual check, and the kept block becomes the trace.  A glue
@@ -531,6 +538,40 @@ def _open_sides(k: int, cells: list, last: bool) -> list:
     ]
 
 
+def _cell_orbits(k: int, cells: list) -> list:
+    """The cells of a side-k template, which must be invariant under
+    `_SQUARE_MAPS`, grouped into orbits under those maps.  Each orbit is
+    a list of (cell, map) pairs, cells as indices into cells: its first
+    cell is the representative, with the identity, and each map of
+    `_SQUARE_MAPS` carries the representative onto its cell.  Every cell
+    is in one orbit."""
+    index = {c: n for n, c in enumerate(cells)}
+    orbits, seen = [], set()
+    for i, j in cells:
+        orbit = []
+        for g, f in enumerate(_SQUARE_MAPS):
+            c = index[f(i, j, k + 1)]
+            if c not in seen:
+                seen.add(c)
+                orbit.append((c, g))
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+def _boundary_maps(s: int) -> list:
+    """Per map of `_SQUARE_MAPS` on [0, s]^2, where it sends the points of
+    `_square_boundary(s)`, as an index array into that order."""
+    b = _square_boundary(s)
+    keys = b[:, 0] * (s + 1) + b[:, 1]
+    order = np.argsort(keys)
+    maps = []
+    for f in _SQUARE_MAPS:
+        x, y = f(b[:, 0], b[:, 1], s)
+        maps.append(order[np.searchsorted(keys, x * (s + 1) + y, sorter=order)])
+    return maps
+
+
 def _add_edges(lap: np.ndarray, a, b, c):
     """Add conductance c between each pair a[i], b[i] of the Laplacian lap, in place."""
     np.add.at(lap, (a, b), -c)
@@ -549,6 +590,17 @@ class _CarpetGlue:
     `_square_boundary` order), "corners" or "cells" (every copy corner).
     Only the shapes are worked out here, so every glue of a call can be
     checked against MAX_DENSE_FRONT before any is run.
+
+    The template, and with it the glue, is invariant under the square's
+    eight isometries, and so is the boundary trace the copies are made
+    of.  An isometry of the glued square that carries cell c onto cell
+    c' carries copy c onto copy c', its private, front and kept points
+    and its open sides included, and acts on the copies' local boundary
+    points by an index map of `_boundary_maps(s)`.  So only the first
+    copy of each orbit of `_cell_orbits` is traced; `orbits` holds, per
+    orbit, every member's glued points in the representative's local
+    order, through which `run` adds the one traced block at each member's
+    own positions.  The standard carpet's glues trace 2 copies, not 8.
     """
 
     def __init__(self, k: int, cells: list, s: int, keep: str, last: bool):
@@ -562,6 +614,13 @@ class _CarpetGlue:
         for sides in _open_sides(k, cells, last):
             seg = np.array([d * s + t for d in sides for t in range(s)], dtype=np.int64)
             self.tops.append((seg, (seg + 1) % (4 * s)))
+        maps = _boundary_maps(s)
+        # per orbit: (representative, its members' glued points, one row
+        # each, in the representative's local order)
+        self.orbits = [
+            (orbit[0][0], np.stack([self.copies[c][maps[g]] for c, g in orbit]))
+            for orbit in _cell_orbits(k, cells)
+        ]
         blocks = list(self.copies)
         self.extra = None
         if s == 1:
@@ -607,10 +666,11 @@ class _CarpetGlue:
         return pts, np.searchsorted(pts, lo), np.searchsorted(pts, hi)
 
     def trace_copies(self, lap: np.ndarray) -> list:
-        """Each copy of the boundary-trace Laplacian lap, with its second
-        halves, traced inside itself onto its points that are kept or
-        shared: a list of `_traced_copy` pairs, in copy order."""
-        blocks = [(ids, lap, a, b, 0.5) for ids, (a, b) in zip(self.copies, self.tops)]
+        """The representative copy of each orbit, the boundary-trace
+        Laplacian lap with its second halves, traced inside itself onto
+        its points that are kept or shared, then the extra edges: a list
+        of `_traced_copy` pairs, in orbit order."""
+        blocks = [(self.copies[c], lap, *self.tops[c], 0.5) for c, _ in self.orbits]
         if self.extra is not None:
             ids, a, b = self.extra
             blocks.append((ids, np.zeros((len(ids), len(ids))), a, b, 1.0))
@@ -620,50 +680,59 @@ class _CarpetGlue:
         """The Laplacian on the kept points, in keep order, of the traced
         copies glued.
 
-        The copies are added, in order, into the three blocks of the
-        glued Laplacian: front x front (in Fortran order), front x kept
-        and kept x kept.  traced is emptied on the way, so each copy is
-        freed once added.  The front is then eliminated by
-        `_dense_trace`, which overwrites the blocks."""
+        Each traced block is added, at the positions of every member of
+        its orbit in turn, into the three blocks of the glued Laplacian:
+        front x front (in Fortran order), front x kept and kept x kept.
+        The representative's rows are in position order, front first, and
+        the isometries carry front points onto front points, so every
+        member's first rows are its front rows.  traced is emptied on the
+        way, so each block is freed once its orbit is added.  The front
+        is then eliminated by `_dense_trace`, which overwrites the
+        blocks."""
         nf, nk = len(self.front), len(self.keep)
         ff = np.zeros((nf, nf), order="F")
         fk = np.zeros((nf, nk))
         kk = np.zeros((nk, nk))
+        placed = [ids for _, ids in self.orbits]
+        if self.extra is not None:
+            placed.append(self.extra[0][None])
         traced.reverse()
-        while traced:
-            p, block = traced.pop()
-            q = np.searchsorted(p, nf)
-            f, k = p[:q], p[q:] - nf
-            ff[np.ix_(f, f)] += block[:q, :q]
-            fk[np.ix_(f, k)] += block[:q, q:]
-            kk[np.ix_(k, k)] += block[q:, q:]
+        for ids in placed:
+            rows, block = traced.pop()
+            at = self.pos[ids[:, rows]]
+            q = np.searchsorted(at[0], nf)
+            for p in at:
+                f, k = p[:q], p[q:] - nf
+                ff[np.ix_(f, f)] += block[:q, :q]
+                fk[np.ix_(f, k)] += block[:q, q:]
+                kk[np.ix_(k, k)] += block[q:, q:]
         return _dense_trace(ff, fk, kk)
 
     @staticmethod
     def _traced_copy(p: np.ndarray, base: np.ndarray, a, b, c) -> tuple:
-        """(positions, Laplacian) of one copy traced onto its points that
-        are not private (position -1 in p), front points first.
+        """(rows, Laplacian) of one copy traced onto its points that are
+        not private (position -1 in p), rows giving each of the
+        Laplacian's rows as an index into p, in position order, which
+        puts the front first.
 
         The copy's Laplacian is base with conductance c added on the
         pairs a, b, gathered private points first; the rest keep their
         order in p while the private points are eliminated (which sets
-        the rounding of each row sum), and are then ordered by position,
-        which puts the front first.  A copy without private points is
-        gathered in that order at once."""
+        the rounding of each row sum), and are then ordered by position.
+        A copy without private points is gathered in that order at once."""
         private = p < 0
         n = int(private.sum())
-        first = np.argsort(~private if n else p, kind="stable")
-        at = np.empty_like(first)
-        at[first] = np.arange(len(first))
-        block = base[np.ix_(first, first)]
+        rows = np.argsort(~private if n else p, kind="stable")
+        at = np.empty_like(rows)
+        at[rows] = np.arange(len(rows))
+        block = base[np.ix_(rows, rows)]
         _add_edges(block, at[a], at[b], c)
-        p = p[first]
         if n:
             block = _dense_trace(np.asfortranarray(block[:n, :n]), block[:n, n:], block[n:, n:])
-            p = p[n:]
-            order = np.argsort(p, kind="stable")
-            block, p = block[np.ix_(order, order)], p[order]
-        return p, block
+            rows = rows[n:]
+            order = np.argsort(p[rows], kind="stable")
+            block, rows = block[np.ix_(order, order)], rows[order]
+        return rows, block
 
     def network(self, lap: np.ndarray) -> ElectricalNetwork:
         """The kept points, as grid pairs, joined by the conductances of lap."""

@@ -162,7 +162,8 @@ def test_fast_matches_naive_on_long_graph_walks():
         assert loop_erase(path) == loop_erase_naive(path), i
         assert array_erase(w, np.ones(g.n, dtype=bool)) == loop_erase_naive(path), i
         assert array_full_erase(w, g.n) == loop_erase_naive(path), i
-        for retained in (g.nested[0], g.nested[1]):
+        # all-False and all-True masks too: the identity and full erasure
+        for retained in (frozenset(), g.nested[0], g.nested[1], frozenset(range(g.n))):
             expected = partial_loop_erase_naive(path, retained)
             assert partial_loop_erase(path, retained) == expected, i
             mask = np.zeros(g.n, dtype=bool)

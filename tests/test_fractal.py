@@ -584,8 +584,10 @@ class TestCarpetTraces:
         # Cholesky factor was a copy of the last glue's 652-point front
         # (3.24 MiB) and T_4 stayed alive through that glue; 5.40 MiB with
         # the front factored in place and T_4 dropped once its copies are
-        # traced.  What is left is the front, the eight traced copies
-        # (1.64 MiB) added into it, and `check_residual`'s row blocks.
+        # traced, and 5.03 MiB with one traced copy per symmetry orbit.
+        # What is left is the front, the two orbits' traced blocks
+        # (0.41 MiB, in place of eight copies' 1.64 MiB) added into it at
+        # every member's positions, and `check_residual`'s row blocks.
         # The bound is twice the front: a second front-sized array fails.
         carpet_traces(standard_carpet(), [1])  # imports scipy.linalg
         tracemalloc.start()
@@ -605,3 +607,134 @@ class TestCarpetTraces:
             carpet_traces(standard_carpet(), levels, keep)
         with pytest.raises(ValueError, match="invalid carpet template"):
             carpet_traces(CarpetTemplate(3, frozenset({(1, 1)})), [1])
+
+
+def boundary_trace(template: CarpetTemplate, j: int) -> np.ndarray:
+    """T_j, the level-j boundary trace `carpet_traces` glues copies of, in
+    `_square_boundary(k**j)` order."""
+    k, cells = template.k, sorted(template.cells)
+    lap = np.zeros((4, 4))
+    ring = np.arange(4)
+    lerw.fractal._add_edges(lap, ring, (ring + 1) % 4, 0.5)
+    for i in range(j):
+        glue = lerw.fractal._CarpetGlue(k, cells, k**i, "boundary", last=False)
+        lap = glue.run(glue.trace_copies(lap))
+    return lap
+
+
+def misplaced_copies(glue, orbits, lap) -> list:
+    """The cells whose copy, placed from its orbit's traced representative
+    at the positions `glue.orbits` gives it, differs from `_traced_copy`
+    run on that copy directly: other positions, or an entry off by more
+    than 1e-12 of its row's weight."""
+    bad = []
+    traced = glue.trace_copies(lap)
+    for orbit, (rep, placed), (rows, block) in zip(orbits, glue.orbits, traced):
+        assert rep == orbit[0][0] and len(placed) == len(orbit)
+        for (c, _), ids in zip(orbit, placed):
+            p = glue.pos[glue.copies[c]]
+            direct_rows, direct = glue._traced_copy(p, lap, *glue.tops[c], 0.5)
+            at = glue.pos[ids[rows]]
+            order = np.argsort(at)
+            if not np.array_equal(at[order], p[direct_rows]):
+                bad.append(c)
+                continue
+            diff = np.abs(block[np.ix_(order, order)] - direct).max(1)
+            if (diff > 1e-12 * np.diag(direct)).any():
+                bad.append(c)
+    return bad
+
+
+def broken_patterns(glue, orbits, s: int) -> list:
+    """The cells whose index map is no bijection of the 4s local boundary
+    points, or does not carry the representative's private, front, kept
+    and open-side pattern onto the cell's own."""
+    maps = lerw.fractal._boundary_maps(s)
+    kept = np.isin(np.arange(glue.n), glue.keep)
+    front = np.isin(np.arange(glue.n), glue.front)
+
+    def pattern(c, sigma):
+        ids = glue.copies[c][sigma]
+        a, b = glue.tops[c]
+        back = np.argsort(sigma)  # local index in c -> index in the map's order
+        sides = {frozenset(e) for e in zip(back[a].tolist(), back[b].tolist())}
+        return glue.pos[ids] < 0, front[ids], kept[ids], sides
+
+    bad = []
+    for orbit in orbits:
+        rep = orbit[0][0]
+        want = pattern(rep, np.arange(4 * s))
+        for c, g in orbit:
+            sigma = maps[g]
+            if not np.array_equal(np.sort(sigma), np.arange(4 * s)):
+                bad.append(c)
+                continue
+            got = pattern(c, sigma)
+            if not all(map(np.array_equal, want[:3], got[:3])) or want[3] != got[3]:
+                bad.append(c)
+    return bad
+
+
+GLUE_KINDS = [("boundary", False), ("corners", True), ("cells", True)]
+
+
+class TestCarpetGlueOrbits:
+    """Each glue traces one copy per orbit of the square's isometries and
+    places it on the orbit's other cells through a boundary index map."""
+
+    @pytest.mark.parametrize("keep, last", GLUE_KINDS, ids=[k for k, _ in GLUE_KINDS])
+    @pytest.mark.parametrize(
+        "template, j",
+        [(standard_carpet(), 0), (standard_carpet(), 2), (ring_template(4), 1), (plus_template(), 0), (plus_template(), 1)],
+        ids=["standard-s1", "standard-s9", "ring4-s4", "plus-s1", "plus-s5"],
+    )
+    def test_placed_copies_match_direct_traces(self, template, j, keep, last):
+        k, cells = template.k, sorted(template.cells)
+        glue = lerw.fractal._CarpetGlue(k, cells, k**j, keep, last)
+        orbits = lerw.fractal._cell_orbits(k, cells)
+        members = sorted(c for orbit in orbits for c, _ in orbit)
+        assert members == list(range(len(cells)))
+        assert all(orbit[0][1] == 0 for orbit in orbits)  # the representative by the identity
+        assert broken_patterns(glue, orbits, k**j) == []
+        assert misplaced_copies(glue, orbits, boundary_trace(template, j)) == []
+
+    def test_orbit_sizes(self):
+        sizes = [sorted(map(len, lerw.fractal._cell_orbits(t.k, sorted(t.cells)))) for t in
+                 (standard_carpet(), ring_template(4), plus_template())]
+        assert sizes == [[4, 4], [4, 8], [4, 4, 4, 8]]
+
+    def test_identity_maps_fail(self, monkeypatch):
+        # negative control: the identity in place of each isometry's index
+        # map puts the representative's block on the wrong points
+        template, j = standard_carpet(), 2
+        k, cells = template.k, sorted(template.cells)
+        lap = boundary_trace(template, j)
+        monkeypatch.setattr(lerw.fractal, "_boundary_maps", lambda s: [np.arange(4 * s)] * 8)
+        for keep, last in GLUE_KINDS:
+            glue = lerw.fractal._CarpetGlue(k, cells, k**j, keep, last)
+            orbits = lerw.fractal._cell_orbits(k, cells)
+            assert broken_patterns(glue, orbits, k**j)
+            assert misplaced_copies(glue, orbits, lap)
+
+    def test_one_traced_copy_per_orbit(self, monkeypatch):
+        traced_copy = lerw.fractal._CarpetGlue._traced_copy
+        trace_copies = lerw.fractal._CarpetGlue.trace_copies
+        calls, per_glue = [], []
+
+        def copy_spy(*args):
+            calls.append(1)
+            return traced_copy(*args)
+
+        def glue_spy(glue, lap):
+            calls.clear()
+            out = trace_copies(glue, lap)
+            per_glue.append((glue.copies.shape[1] // 4, len(calls)))
+            return out
+
+        monkeypatch.setattr(lerw.fractal._CarpetGlue, "_traced_copy", staticmethod(copy_spy))
+        monkeypatch.setattr(lerw.fractal._CarpetGlue, "trace_copies", glue_spy)
+        carpet_traces(standard_carpet(), [4])
+        carpet_traces(standard_carpet(), [3], "cells")
+        # builds of T_1..T_3, then the last glue; the eight copies of each
+        # glue are of two kinds, corner cells and side cells
+        assert per_glue == [(1, 2), (3, 2), (9, 2), (27, 2), (1, 2), (3, 2), (9, 2)]

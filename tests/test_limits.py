@@ -760,19 +760,19 @@ class TestResistanceScaling:
         # boundary traces: no graph above level 1 is built, and the only
         # sparse solves are on the traced networks of four corners
         levels, sizes = [], []
-        build, solve = lerw.fractal.carpet_graph, lerw.network._solve_block
+        build, factor = lerw.fractal.carpet_graph, lerw.network._block_solver
 
         def built(template, m, *args):
             levels.append(m)
             return build(template, m, *args)
 
-        def solved(net, idx, rhs):
+        def factored(net, idx):
             sizes.append(net.n)
-            return solve(net, idx, rhs)
+            return factor(net, idx)
 
         for module in (lerw.limits, lerw.fractal):
             monkeypatch.setattr(module, "carpet_graph", built)
-        monkeypatch.setattr(lerw.network, "_solve_block", solved)
+        monkeypatch.setattr(lerw.network, "_block_solver", factored)
         template = standard_carpet()
         resistance_scaling("carpet", (1, 2, 3), template=template)
         kernel_convergence("carpet", 1, 0, [1, 2, 3], template=template)

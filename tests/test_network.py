@@ -13,7 +13,7 @@ import lerw._exact
 from lerw._exact import SingularSystemError, check_residual, solve_fraction
 from lerw.chain import sample_until_entry, trajectory_stream
 from lerw.exactlaw import green_diagonal, traced_kernel
-from lerw.fractal import corner_indices, gasket_graph, uniform_network
+from lerw.fractal import carpet_graph, corner_indices, gasket_graph, standard_carpet, uniform_network
 from lerw.network import (
     ElectricalNetwork,
     build_network,
@@ -297,6 +297,29 @@ class TestTrace:
     def test_sparse_branch(self):
         t = trace_network(long_path(1200), {"p0", "p1200"})
         assert abs(t.conductances[frozenset(("p0", "p1200"))] - 1 / 1200) < 1e-12
+
+    @pytest.mark.parametrize("m, level", [(3, 2), (2, 1)], ids=["gasket-m3-V2", "carpet-m2-V1"])
+    def test_double_trace_in_column_blocks(self, monkeypatch, m, level):
+        # kept columns solved 3 at a time give the one solve's
+        # conductances bit for bit on these graphs, and every block's
+        # solve, unrefined and refined, is checked on its own
+        g = gasket_graph(m) if m == 3 else carpet_graph(standard_carpet(), m)
+        net = uniform_network(g, "double")
+        keep = g.level_sets[level].tolist()
+        whole = trace_network(net, keep)
+        checked = []
+
+        def spy(a, x, b):
+            checked.append(b.shape)
+            check_residual(a, x, b)
+
+        monkeypatch.setattr(lerw.network, "RESIDUAL_ROWS", 3)
+        monkeypatch.setattr(lerw.network, "check_residual", spy)
+        blocked = trace_network(net, keep)
+        assert np.array_equal(blocked._ends, whole._ends)
+        assert np.array_equal(blocked._values, whole._values)
+        drop, k = g.n - len(keep), len(keep)
+        assert checked == [(drop, min(3, k - c)) for c in range(0, k, 3) for _ in range(2)]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two kept"):
