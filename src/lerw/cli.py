@@ -459,6 +459,7 @@ def _cmd_resist(cfg: dict) -> int:
             "ratios": ("resist_ratios.csv", (["pair", "level_from", "level_to", "ratio"], ratio_rows)),
         },
         counterexample=counterexample,
+        stats=res["stats"],
     )
 
 

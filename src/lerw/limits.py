@@ -361,6 +361,10 @@ def resistance_scaling(
     corners, pairs of one corner with itself, a pair given twice (in
     either order), an empty pair list and an unknown mode raise
     ValueError, before any level is built.
+
+    `stats` gives per level the traced network's vertices and edges and
+    the number of pairs read off it; in double mode those pairs share
+    one factorization of its grounded Laplacian (`effective_resistance`).
     """
     if mode not in ("rational", "double"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,7 +391,7 @@ def resistance_scaling(
     glued = kind == "carpet" and mode == "double"
     if glued:
         carpets = carpet_traces(_carpet_template(template), ms, "corners")
-    rows = []
+    rows, stats = [], []
     per_pair: dict = {}
     for m in ms:
         if glued:
@@ -404,6 +408,8 @@ def resistance_scaling(
             rho = float(np.hypot(*(xy[ci] - xy[cj])))
             rows.append({"level": m, "pair": (ci, cj), "resistance": r, "rho": rho})
             per_pair.setdefault((ci, cj), {})[m] = (r, rho)
+        edges = len(traced.conductances)
+        stats.append({"level": m, "vertices": traced.n, "edges": edges, "pairs": len(probe)})
 
     ratios: dict = {}
     for pair, table in per_pair.items():
@@ -436,6 +442,7 @@ def resistance_scaling(
         "band_ok": None if band is None else all(s <= band for s in spread.values()),
         "gamma_hat": gamma,
         "envelope": envelope,
+        "stats": stats,
     }
 
 

@@ -7,8 +7,12 @@ solves them exactly with `_exact.eliminate`, the GTH reduction the chain
 laws use: vertices are integer rows carrying their currents as loads, a
 Dirichlet solve back-substitutes the eliminated rows and a trace reads
 the kept rows as the traced walk. Double mode builds one CSR Laplacian
-per network from its edge arrays and solves every problem with a
-symmetric-ordered sparse LU, refined once, whose residual is checked.
+per network from its edge arrays and solves every Dirichlet problem with
+a symmetric-ordered sparse LU of its interior block, refined once, whose
+residual is checked. A pair resistance is not a Dirichlet problem of its
+own: every pair on a network is read off one LU of the Laplacian
+grounded at its last vertex, factored on first use and kept with the
+Laplacian.
 """
 
 from __future__ import annotations
@@ -35,7 +39,10 @@ class ElectricalNetwork:
     are summed in edge order, so they do not depend on which way an edge
     came in. The `conductances` dict and the neighbour lists are built
     from the arrays when first read. A network is not changed after
-    construction.
+    construction, so the double Laplacian and the grounded LU that pair
+    resistances share are cached on it when first needed; the LU does
+    not pickle, so a pickled or copied network leaves it out and factors
+    its own.
     """
 
     def __init__(self, vertices: Iterable, conductances: Mapping, mode: str = "rational"):
@@ -96,6 +103,11 @@ class ElectricalNetwork:
         # connectivity is part of the type: every solve below assumes it
         if not _connected(n, ends):
             raise ValueError("network is not connected")
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_grounded", None)
+        return state
 
     @property
     def n(self) -> int:
@@ -474,9 +486,34 @@ def effective_resistance_to_set(net: ElectricalNetwork, x, targets: Iterable):
 
 
 def effective_resistance(net: ElectricalNetwork, x, y):
+    """R(x, y), the potential drop when a unit current enters at x and
+    leaves at y.
+
+    Rational mode solves the Dirichlet problem with y grounded exactly.
+    Double mode solves L_g u = e_x - e_y, L_g being the Laplacian
+    grounded at the network's last vertex g (u_g = 0), and reads
+    R = u_x - u_y. L_g is factored by `_block_solver` on the first pair
+    asked of a network and kept on it, so every pair shares one LU and
+    pays one refined, checked solve. The potential peaks at x and bottoms
+    out at y, so u_y <= 0 = u_g <= u_x and the difference adds two
+    magnitudes without cancelling. A pair that contains g is the very
+    solve that grounds g, so R(x, g) and R(g, x) are bit for bit
+    `effective_resistance_to_set(net, x, {g})`; swapping x and y negates
+    the right-hand side and with it every rounding, so R(y, x) == R(x, y).
+    """
     if x == y:
         raise ValueError("effective resistance needs distinct vertices")
-    return effective_resistance_to_set(net, x, (y,))
+    if net.mode == "rational":
+        return effective_resistance_to_set(net, x, (y,))
+    j, i = _positions(net, (y, x))
+    g = net.n - 1
+    solve = getattr(net, "_grounded", None)
+    if solve is None:
+        solve = net._grounded = _block_solver(net, list(range(g)))
+    rhs = np.zeros((g + 1, 1))
+    rhs[i], rhs[j] = 1.0, -1.0
+    u = np.append(solve(rhs[:g])[:, 0], 0.0)
+    return u[i] - u[j]
 
 
 def expected_exit_time(net: ElectricalNetwork, x, targets: Iterable):

@@ -157,6 +157,13 @@ class TestResist:
         assert code == 0
         assert read_json(tmp_path / "resist.json")["checks"] == {}
 
+    def test_summary_carries_the_library_stats(self, tmp_path):
+        assert main(["resist", "--gasket", "-m", "1..3", "--pair", "0-1", "--out", str(tmp_path)]) == 0
+        res = resistance_scaling("gasket", [1, 2, 3], pairs=[(0, 1)])
+        assert read_json(tmp_path / "resist.json")["stats"] == res["stats"] == [
+            {"level": m, "vertices": 2, "edges": 1, "pairs": 1} for m in (1, 2, 3)
+        ]
+
     def test_double_cells_read_back_as_floats(self, tmp_path):
         # double-mode solves return numpy scalars; their cells must still
         # be plain numbers equal to the library values

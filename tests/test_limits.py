@@ -755,6 +755,23 @@ class TestResistanceScaling:
                 want = effective_resistance(net, c[r["pair"][0]], c[r["pair"][1]])
                 assert abs(r["resistance"] - want) <= 1e-12 * want
 
+    def test_stats_count_each_level_traced_network(self, monkeypatch):
+        # per level: the traced network's size and the pairs read off its
+        # one grounded factorization
+        factored, factor = [], lerw.network._block_solver
+
+        def spy(net, idx):
+            factored.append(net.n)
+            return factor(net, idx)
+
+        monkeypatch.setattr(lerw.network, "_block_solver", spy)
+        res = resistance_scaling("carpet", (1, 2, 3), template=standard_carpet())
+        assert res["stats"] == [{"level": m, "vertices": 4, "edges": 6, "pairs": 6} for m in (1, 2, 3)]
+        assert factored == [4, 4, 4]
+        res = resistance_scaling("gasket", (0, 2), mode="rational", pairs=[(0, 2), (1, 2)])
+        assert res["stats"] == [{"level": m, "vertices": 3, "edges": 3, "pairs": 2} for m in (0, 2)]
+        assert factored == [4, 4, 4]
+
     def test_carpet_levels_build_and_factor_no_graph(self, monkeypatch):
         # double carpet resistances and V_1 kernels come from glued
         # boundary traces: no graph above level 1 is built, and the only
@@ -781,7 +798,7 @@ class TestResistanceScaling:
         kernel_convergence("carpet", 2, 0, [3], template=template)
         resistance_scaling("gasket", (3,))
         assert levels[-2:] == [2, 3]
-        assert sizes[-5:] == [carpet_graph(template, 3).n, gasket_graph(3).n, 3, 3, 3]
+        assert sizes[-3:] == [carpet_graph(template, 3).n, gasket_graph(3).n, 3]
         # rational carpet levels build their graphs and trace them exactly
         resistance_scaling("carpet", (1, 2, 3), template=template, mode="rational")
         assert levels[-3:] == [1, 2, 3]

@@ -3,13 +3,16 @@
 from fractions import Fraction
 from random import Random
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import lerw._exact
+import lerw.network
 from lerw._exact import SingularSystemError, check_residual, solve_fraction
 from lerw.chain import sample_until_entry, trajectory_stream
 from lerw.exactlaw import green_diagonal, traced_kernel
@@ -434,6 +437,106 @@ class TestDoubleMatchesRational:
         # n^2 - i^2 to reach p_n when p_0 reflects
         assert_close(expected_exit_time(dnet, "p377", {"p0", f"p{n}"}), 377 * (n - 377))
         assert_close(expected_exit_time(dnet, "p377", {f"p{n}"}), n * n - 377 * 377)
+
+
+def random_double_network(rng, n):
+    return as_double(random_network(rng, n, extra_edges=rng.randint(0, n)))
+
+
+def spy_solves(monkeypatch):
+    """Count `_block_solver` and `check_residual` calls in lerw.network."""
+    calls = {"factor": 0, "check": 0}
+    factor, check = lerw.network._block_solver, lerw.network.check_residual
+
+    def factored(net, idx):
+        calls["factor"] += 1
+        return factor(net, idx)
+
+    def checked(a, x, b):
+        calls["check"] += 1
+        return check(a, x, b)
+
+    monkeypatch.setattr(lerw.network, "_block_solver", factored)
+    monkeypatch.setattr(lerw.network, "check_residual", checked)
+    return calls
+
+
+class TestGroundedResistance:
+    # double pair resistances are read off one LU of the Laplacian
+    # grounded at the last vertex, cached on the network
+
+    def test_every_pair_agrees_with_the_set_route(self):
+        rng = Random(31)
+        for n in (5, 9, 17, 40):
+            net = random_double_network(rng, n)
+            last = net.vertices[-1]
+            pairs = [(x, y) for x in net.vertices for y in net.vertices if x != y]
+            r = {(x, y): effective_resistance(net, x, y) for x, y in pairs}
+            for (x, y), got in r.items():
+                want = effective_resistance_to_set(net, x, {y})
+                assert math.isclose(got, want, rel_tol=1e-12), (x, y, got, want)
+                assert r[y, x] == got
+                if y == last:
+                    # the very solve that grounds the last vertex
+                    assert got == want
+
+    def test_one_factorization_per_network(self, monkeypatch):
+        calls = spy_solves(monkeypatch)
+        rng = Random(32)
+        for _ in range(3):
+            net = random_double_network(rng, rng.randint(5, 40))
+            pairs = [(x, y) for x in net.vertices for y in net.vertices if x != y]
+            before = dict(calls)
+            for x, y in pairs:
+                effective_resistance(net, x, y)
+            assert calls["factor"] - before["factor"] == 1
+            assert calls["check"] - before["check"] == 2 * len(pairs)
+
+    @pytest.mark.parametrize("mode", ["rational", "double"])
+    def test_refusals_keep_their_messages_and_build_nothing(self, monkeypatch, mode):
+        calls = spy_solves(monkeypatch)
+        net = build_network([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)], mode)
+        with pytest.raises(ValueError, match="effective resistance needs distinct vertices"):
+            effective_resistance(net, "a", "a")
+        with pytest.raises(ValueError, match="effective resistance needs distinct vertices"):
+            effective_resistance(net, "zz", "zz")
+        # y is named first, as when it was the grounded boundary
+        with pytest.raises(ValueError, match="vertex 'yy' is not in the network"):
+            effective_resistance(net, "xx", "yy")
+        for x, y in (("zz", "a"), ("a", "zz")):
+            with pytest.raises(ValueError, match="vertex 'zz' is not in the network"):
+                effective_resistance(net, x, y)
+        assert calls == {"factor": 0, "check": 0}
+        assert not hasattr(net, "_grounded")
+
+    def test_rational_keeps_its_exact_route(self, monkeypatch):
+        calls = spy_solves(monkeypatch)
+        rng = Random(33)
+        for _ in range(20):
+            net = random_network(rng, rng.randint(3, 8), extra_edges=3)
+            for x in net.vertices:
+                for y in net.vertices:
+                    if x != y:
+                        r = effective_resistance(net, x, y)
+                        assert type(r) is Fraction
+                        assert r == effective_resistance_to_set(net, x, {y})
+            assert not hasattr(net, "_grounded")
+        assert calls == {"factor": 0, "check": 0}
+
+    def test_served_network_pickles_and_copies(self, monkeypatch):
+        # the cached LU does not pickle: a copy leaves it out and factors
+        # its own on first use, giving the same resistances
+        net = random_double_network(Random(34), 20)
+        pairs = [(x, y) for x in net.vertices[:6] for y in net.vertices[-6:]]
+        want = [effective_resistance(net, x, y) for x, y in pairs]
+        assert hasattr(net, "_grounded")
+        calls = spy_solves(monkeypatch)
+        for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net), copy.copy(net)):
+            assert not hasattr(twin, "_grounded")
+            assert [effective_resistance(twin, x, y) for x, y in pairs] == want
+        assert calls["factor"] == 3
+        assert [effective_resistance(net, x, y) for x, y in pairs] == want
+        assert calls["factor"] == 3
 
 
 def dense_potentials(net, boundary, current):
